@@ -545,12 +545,12 @@ def bench_sbit_miss_kernel(
 def bench_sweep_parallel(
     quick: bool = False, jobs: Optional[int] = None, engine: str = "object"
 ) -> BenchResult:
-    """A small SPEC pair sweep serially vs across the process pool.
+    """A small SPEC pair sweep in process vs across worker processes.
 
     ``runs`` times the parallel sweep; ``extra`` records the serial
     median and the speedup — the number the tentpole exists to move.
-    On a single-CPU machine (or with one worker) a process pool cannot
-    beat the serial path, so the bench reports
+    On a single-CPU machine (or with one worker) worker processes cannot
+    beat the in-process run, so the bench reports
     ``skipped: insufficient_cpus`` rather than a meaningless speedup.
     """
     from repro.analysis.parallel import resolve_jobs

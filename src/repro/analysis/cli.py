@@ -19,15 +19,21 @@ Usage (also available as ``python -m repro``):
     python -m repro obs flame --obs-dir D  # folded kernel/span flamegraph
 
 Each command prints the artifact in the paper's layout; ``--instructions``
-scales simulation length (longer = tighter match, slower).  ``table2``,
-``fig8``, ``fig9`` and ``export`` accept ``--resume CHECKPOINT.json`` to
-run under the resilient sweep runner: failures are retried then
-quarantined with provenance, completed experiments are checkpointed, and
-a rerun with the same file picks up where it left off.
+scales simulation length (longer = tighter match, slower).  Every sweep
+command runs its cells under the one sweep executor
+(:class:`~repro.robustness.supervisor.SupervisedSweepExecutor`): a
+failing cell is retried, then quarantined with provenance and rendered
+as a gap.  The sweep flags mean the same thing on every command that
+has them:
 
-``--jobs N`` fans the sweep commands out across ``N`` worker processes
-(default: one per CPU; ``--jobs 1`` forces the serial path).  Results are
-identical either way — see docs/internals.md §9.
+* ``--jobs N`` — ``N`` cells at a time in worker processes (default:
+  one per CPU; ``--jobs 1`` runs them in this process).  Results are
+  identical either way — see docs/internals.md §9;
+* ``--resume CHECKPOINT.json`` — checkpoint completed cells to this file
+  and resume from it; quarantine records land in
+  ``CHECKPOINT.json.quarantine/``;
+* ``--obs-dir DIR`` — write per-cell obs shards, a heartbeat, a merged
+  Perfetto trace and aggregate counters under ``DIR``.
 
 Exit codes follow one contract across the sweep commands:
 
@@ -52,9 +58,12 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.runner import (
+    PARSEC_SEED,
+    SPEC_SEED,
     llc_sensitivity_sweep,
-    parsec_sweep,
-    spec_pair_sweep,
+    parsec_jobs,
+    result_checkpoint,
+    spec_pair_jobs,
 )
 from repro.analysis.tables import (
     render_figure_series,
@@ -65,6 +74,7 @@ from repro.analysis.tables import (
 from repro.common import scaled_experiment_config
 from repro.common.units import geometric_mean
 from repro.obs.console import Console
+from repro.robustness.supervisor import SupervisedSweepExecutor
 from repro.workloads.mixes import (
     PAPER_TABLE2_PARSEC,
     PAPER_TABLE2_SPEC,
@@ -79,9 +89,11 @@ EXIT_FATAL = 1
 EXIT_PARTIAL = 3
 
 
-def _quarantine_dir_for(checkpoint_path: str) -> Path:
+def _quarantine_dir_for(checkpoint_path: Optional[str]) -> Optional[Path]:
     """Where FailureRecords land for a resumable sweep: next to (and
-    named after) its checkpoint file."""
+    named after) its checkpoint file; ``None`` without a checkpoint."""
+    if checkpoint_path is None:
+        return None
     path = Path(checkpoint_path)
     return path.parent / (path.name + ".quarantine")
 
@@ -119,35 +131,42 @@ def _cmd_rsa(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_pair_jobs(args: argparse.Namespace, pairs) -> list:
+    """The CLI's SPEC-pair cells (the :func:`spec_pair_sweep` defaults)."""
+    config = scaled_experiment_config(
+        num_cores=1, seed=SPEC_SEED, engine=args.engine
+    )
+    return spec_pair_jobs(config, pairs, args.instructions, SPEC_SEED)
+
+
+def _run_sweep(args: argparse.Namespace, sweep_jobs, seed: int):
+    """Run a sweep command's cells under the one executor.
+
+    ``--jobs`` picks the backend, ``--resume`` adds a checkpoint (and a
+    quarantine directory next to it), ``--obs-dir`` adds telemetry.
+    Returns ``(outcome, results, gaps, status)``: results and gap labels
+    in submission order, and the exit status under the 0/3/1 contract.
+    """
+    outcome = SupervisedSweepExecutor(
+        args.jobs,
+        checkpoint=result_checkpoint(args.resume),
+        base_seed=seed,
+        quarantine_dir=_quarantine_dir_for(args.resume),
+        obs_dir=args.obs_dir,
+    ).run(sweep_jobs)
+    status = _report_sweep_outcome(args.console, outcome)
+    labels = [job.label for job in sweep_jobs]
+    gaps = [label for label in labels if label not in outcome.results]
+    return outcome, outcome.ordered_results(labels), gaps, status
+
+
 def _cmd_table2(args: argparse.Namespace) -> int:
     pairs = (SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS)[: args.pairs or None]
-    if args.resume:
-        from repro.analysis.runner import resilient_spec_pair_sweep
-        from repro.workloads.mixes import pair_label
-
-        outcome = resilient_spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        labels = [pair_label(a, b) for a, b in pairs]
-        results = outcome.ordered_results(labels)
-        if not results:
-            return EXIT_FATAL
-        gaps = [label for label in labels if label not in outcome.results]
-    else:
-        results = spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-        status, gaps = EXIT_OK, []
+    _, results, gaps, status = _run_sweep(
+        args, _spec_pair_jobs(args, pairs), SPEC_SEED
+    )
+    if not results:
+        return EXIT_FATAL
     args.console.result(
         render_table2(results, paper=PAPER_TABLE2_SPEC, gaps=gaps)
     )
@@ -159,9 +178,9 @@ def _cmd_table2(args: argparse.Namespace) -> int:
 
 
 def _report_sweep_outcome(console: Console, outcome) -> int:
-    """Narrate a resilient sweep's outcome; the return value is the
-    command's exit status under the 0/3/1 contract (``EXIT_PARTIAL``
-    when anything was quarantined, else ``EXIT_OK``)."""
+    """Narrate a sweep's outcome; the return value is the command's
+    exit status under the 0/3/1 contract (``EXIT_PARTIAL`` when anything
+    was quarantined, else ``EXIT_OK``)."""
     if outcome.resumed:
         console.info(
             f"resumed {len(outcome.resumed)} completed experiment(s) "
@@ -186,64 +205,27 @@ def _report_sweep_outcome(console: Console, outcome) -> int:
 
 def _cmd_fig8(args: argparse.Namespace) -> int:
     pairs = SPEC_SAME_PAIRS[: args.pairs or 6]
-    if args.resume:
-        from repro.analysis.runner import resilient_spec_pair_sweep
-        from repro.workloads.mixes import pair_label
-
-        outcome = resilient_spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        labels = [pair_label(a, b) for a, b in pairs]
-        results = outcome.ordered_results(labels)
-        if not results:
-            return EXIT_FATAL
-        gaps = [label for label in labels if label not in outcome.results]
-    else:
-        results = spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-        status, gaps = EXIT_OK, []
+    _, results, gaps, status = _run_sweep(
+        args, _spec_pair_jobs(args, pairs), SPEC_SEED
+    )
+    if not results:
+        return EXIT_FATAL
     args.console.result(render_mpki_table(results, gaps=gaps))
     return status
 
 
 def _cmd_fig9(args: argparse.Namespace) -> int:
     benchmarks = PARSEC_BENCHMARKS[: args.pairs or None]
-    if args.resume:
-        from repro.analysis.runner import resilient_parsec_sweep
-
-        outcome = resilient_parsec_sweep(
-            benchmarks=benchmarks,
-            instructions_per_thread=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        results = outcome.ordered_results(list(benchmarks))
-        if not results:
-            return EXIT_FATAL
-        gaps = [b for b in benchmarks if b not in outcome.results]
-    else:
-        results = parsec_sweep(
-            benchmarks=benchmarks,
-            instructions_per_thread=args.instructions,
-            jobs=args.jobs,
-            engine=args.engine,
-        )
-        status, gaps = EXIT_OK, []
+    config = scaled_experiment_config(
+        num_cores=2, seed=PARSEC_SEED, engine=args.engine
+    )
+    _, results, gaps, status = _run_sweep(
+        args,
+        parsec_jobs(config, benchmarks, args.instructions, PARSEC_SEED),
+        PARSEC_SEED,
+    )
+    if not results:
+        return EXIT_FATAL
     args.console.result(
         render_table2(results, paper=PAPER_TABLE2_PARSEC, gaps=gaps)
     )
@@ -283,36 +265,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
-    from repro.analysis.export import export_outcome, export_sweep
+    from repro.analysis.export import export_outcome
 
     pairs = (SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS)[: args.pairs or 4]
-    if args.resume:
-        from repro.analysis.runner import resilient_spec_pair_sweep
-        from repro.workloads.mixes import pair_label
-
-        outcome = resilient_spec_pair_sweep(
-            pairs=pairs,
-            instructions=args.instructions,
-            checkpoint_path=args.resume,
-            jobs=args.jobs,
-            engine=args.engine,
-            quarantine_dir=_quarantine_dir_for(args.resume),
-            obs_dir=args.obs_dir,
-        )
-        status = _report_sweep_outcome(args.console, outcome)
-        labels = [pair_label(a, b) for a, b in pairs]
-        path = export_outcome(outcome, labels, args.output)
-        args.console.result(f"wrote {len(outcome.results)} results to {path}")
-        return status
-    results = spec_pair_sweep(
-        pairs=pairs,
-        instructions=args.instructions,
-        jobs=args.jobs,
-        engine=args.engine,
+    sweep_jobs = _spec_pair_jobs(args, pairs)
+    outcome, results, _, status = _run_sweep(args, sweep_jobs, SPEC_SEED)
+    path = export_outcome(
+        outcome, [job.label for job in sweep_jobs], args.output
     )
-    path = export_sweep(results, args.output)
     args.console.result(f"wrote {len(results)} results to {path}")
-    return 0
+    return status
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
@@ -439,7 +401,7 @@ def _cmd_tournament(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             n_boot=n_boot,
             checkpoint_path=args.resume,
-            quarantine_dir=_quarantine_dir_for(args.resume) if args.resume else None,
+            quarantine_dir=_quarantine_dir_for(args.resume),
             obs_dir=args.obs_dir,
         )
     except ValueError as exc:  # unknown attack name
@@ -524,9 +486,7 @@ def _cmd_compare_defenses(args: argparse.Namespace) -> int:
             jobs=args.jobs,
             n_boot=n_boot,
             checkpoint_path=args.resume,
-            quarantine_dir=_quarantine_dir_for(args.resume)
-            if args.resume
-            else None,
+            quarantine_dir=_quarantine_dir_for(args.resume),
             obs_dir=args.obs_dir,
         )
     except ValueError as exc:  # unknown attack name
@@ -803,8 +763,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--jobs",
         type=int,
         default=None,
-        help="worker processes for the sweep (default: one per CPU; "
-        "1 = the exact serial path)",
+        help="cells run at a time (default: one per CPU; 1 runs them "
+        "in this process, more in worker processes)",
     )
     jobs_parent.add_argument(
         "--engine",
@@ -837,17 +797,17 @@ def build_parser() -> argparse.ArgumentParser:
                 "--resume",
                 metavar="CHECKPOINT",
                 default=None,
-                help="run resiliently, checkpointing to (and resuming "
-                "from) this JSON file; quarantined cells land in "
-                "CHECKPOINT.quarantine/ and the command exits 3",
+                help="checkpoint completed cells to (and resume from) "
+                "this JSON file; quarantined cells land in "
+                "CHECKPOINT.quarantine/",
             )
             p.add_argument(
                 "--obs-dir",
                 metavar="DIR",
                 default=None,
-                help="with --resume and --jobs >= 2: write per-worker "
-                "obs shards, a heartbeat, and a merged Perfetto trace + "
-                "counters JSON under DIR (see 'repro obs top/flame')",
+                help="write per-cell obs shards, a heartbeat, and a "
+                "merged Perfetto trace + counters JSON under DIR (see "
+                "'repro obs top/flame')",
             )
     compare = sub.add_parser(
         "compare",
@@ -866,15 +826,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--resume",
         metavar="CHECKPOINT",
         default=None,
-        help="run resiliently, checkpointing to (and resuming from) "
-        "this JSON file",
+        help="checkpoint completed cells to (and resume from) this "
+        "JSON file; quarantined cells land in CHECKPOINT.quarantine/",
     )
     export.add_argument(
         "--obs-dir",
         metavar="DIR",
         default=None,
-        help="with --resume and --jobs >= 2: write obs shards and a "
-        "merged trace under DIR",
+        help="write per-cell obs shards and a merged trace under DIR",
     )
     faults = sub.add_parser(
         "faults",
@@ -989,7 +948,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="supervised worker processes for the cell matrix "
-        "(default: one per CPU; 1 = the serial path)",
+        "(default: one per CPU)",
     )
     tournament.add_argument(
         "--engine",
@@ -1055,8 +1014,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir",
         metavar="DIR",
         default=None,
-        help="with --jobs >= 2: write per-worker obs shards and a merged "
-        "Perfetto trace + counters JSON under DIR",
+        help="write per-cell obs shards and a merged Perfetto trace + "
+        "counters JSON under DIR",
     )
     compare_defenses = sub.add_parser(
         "compare-defenses",
@@ -1074,7 +1033,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="supervised worker processes for the cell matrix "
-        "(default: one per CPU; 1 = the serial path)",
+        "(default: one per CPU)",
     )
     compare_defenses.add_argument(
         "--engine",
@@ -1125,8 +1084,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--obs-dir",
         metavar="DIR",
         default=None,
-        help="with --jobs >= 2: write per-worker obs shards and a merged "
-        "Perfetto trace + counters JSON under DIR",
+        help="write per-cell obs shards and a merged Perfetto trace + "
+        "counters JSON under DIR",
     )
     trace = sub.add_parser(
         "trace",

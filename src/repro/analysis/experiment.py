@@ -26,7 +26,7 @@ class SimulationBudget:
     """Watchdog limits for one simulation.
 
     Exceeding either raises :class:`~repro.common.errors.SimulationTimeout`
-    (a hard error the resilient sweep runner records), unlike the kernel's
+    (a hard error the sweep executor records), unlike the kernel's
     ``max_steps`` which truncates silently.  ``None`` disables a limit.
     """
 
@@ -192,7 +192,7 @@ def run_parsec_experiment(
     return ExperimentResult(bench, base, defended)
 
 
-#: experiment kinds a process-pool job may name (see ExperimentJob)
+#: experiment kinds a sweep job may name (see ExperimentJob)
 _EXPERIMENT_KINDS: Dict[str, Callable[..., ExperimentResult]] = {
     "spec_pair": run_spec_pair_experiment,
     "parsec": run_parsec_experiment,
@@ -203,10 +203,9 @@ _EXPERIMENT_KINDS: Dict[str, Callable[..., ExperimentResult]] = {
 class ExperimentJob:
     """A picklable description of one experiment cell.
 
-    The parallel sweep executor ships jobs into worker processes by
-    pickling; a closure over a config (the serial runner's thunk shape)
-    cannot cross that boundary, but this spec — a kind name, a label,
-    a config, and plain arguments — can.  ``run`` dispatches to the
+    Worker processes receive sweep jobs by pickling; a closure over a
+    config cannot cross that boundary, but this spec — a kind name, a
+    label, a config, and plain arguments — can.  ``run`` dispatches to the
     matching ``run_*_experiment`` function in this module.
     """
 

@@ -104,13 +104,13 @@ def outcome_to_dict(
     labels: Sequence[str],
     kind: str = "spec_sweep",
 ) -> Dict:
-    """Serialize a resilient sweep outcome: results in ``labels`` order
+    """Serialize a sweep outcome: results in ``labels`` order
     plus the failure records and resumed labels.
 
     The payload is a superset of :func:`sweep_to_dict`'s, so existing
     loaders keep working; because results are reassembled in label order
-    the bytes are identical whether the sweep ran serially or across a
-    process pool.
+    the bytes are identical whether the sweep ran in process or across
+    worker processes.
     """
     payload = sweep_to_dict(outcome.ordered_results(labels), kind=kind)
     payload["failures"] = [f.to_dict() for f in outcome.failures]
@@ -129,7 +129,7 @@ def export_outcome(
     path: Union[str, Path],
     kind: str = "spec_sweep",
 ) -> Path:
-    """One-call export of a resilient sweep outcome."""
+    """One-call export of a sweep outcome."""
     return save_json(outcome_to_dict(outcome, labels, kind=kind), path)
 
 

@@ -1,66 +1,28 @@
-"""Parallel execution of sweep jobs across a process pool.
+"""The sweep job spec: what one independent sweep cell is.
 
 Every paper sweep is embarrassingly parallel: each (workload,
-configuration) cell is an independent deterministic simulation.  This
-module turns a sequence of such cells into near-linear wall-clock
-speedup with ``concurrent.futures.ProcessPoolExecutor`` while keeping
-every guarantee the serial resilient runner
-(:mod:`repro.robustness.resilience`) makes:
+configuration) cell is an independent deterministic simulation.  A
+:class:`SweepJob` describes one such cell — a label, a module-level
+callable and its arguments — and
+:class:`~repro.robustness.supervisor.SupervisedSweepExecutor` runs a
+list of them, in this process or across worker processes, with the same
+retry, checkpoint and quarantine contract either way.
 
-* **determinism** — a job's result depends only on its arguments (each
-  simulation seeds its own :class:`~repro.common.rng.DeterministicRng`
-  from its config), so execution order cannot perturb results.  As a
-  belt-and-braces measure each worker also reseeds the *global*
-  ``random`` and ``numpy`` generators from a child seed derived via
-  :func:`derive_job_seed`, so even code that accidentally reached for a
-  global RNG would stay reproducible per job;
-* **ordered reassembly** — jobs complete out of order but the returned
-  :class:`~repro.robustness.resilience.SweepOutcome` lists results,
-  failures, and resumed labels in submission order, exactly as the
-  serial runner would;
-* **retry/backoff** — each job retries inside its worker process with
-  the same exponential-backoff schedule as the serial path, and a job
-  that exhausts its retries becomes a
-  :class:`~repro.robustness.resilience.FailureRecord` (child exceptions
-  are flattened to ``(type name, message)`` strings in the worker, so
-  nothing depends on an exception class being picklable);
-* **checkpoint/resume** — the parent process is the single checkpoint
-  writer; it records each completion as it arrives.  Because the
-  checkpoint JSON is written with sorted keys, the final file is
-  byte-identical no matter the completion order, and ``--jobs 1`` vs
-  ``--jobs N`` produce the same bytes.
-
-``jobs == 1`` does not build a pool at all: it delegates to
-:func:`~repro.robustness.resilience.run_resilient_jobs`, preserving
-today's serial path bit for bit.
+Each cell seeds its own :class:`~repro.common.rng.DeterministicRng` from
+its config, so results never depend on execution order or worker count.
+As a belt-and-braces measure every attempt also reseeds the *global*
+``random`` and ``numpy`` generators from :func:`derive_job_seed`, so
+even code that accidentally reached for a global RNG stays
+reproducible per job.
 """
 
 from __future__ import annotations
 
 import os
-import random
-import time
-from concurrent.futures import as_completed, ProcessPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.common.errors import SweepExecutionError
 from repro.common.rng import DeterministicRng
-from repro.obs.tracer import Tracer
-from repro.robustness.resilience import (
-    Checkpoint,
-    FailureRecord,
-    SweepOutcome,
-    format_exception,
-    run_resilient_jobs,
-)
-
-#: resilient-runner callback events mapped onto trace event kinds
-_SWEEP_EVENT_KINDS = {
-    "ok": "sweep.job_done",
-    "failed": "sweep.job_failed",
-    "resumed": "sweep.job_resumed",
-}
 
 
 def default_jobs() -> int:
@@ -89,9 +51,8 @@ def derive_job_seed(base_seed: int, label: str) -> int:
 class SweepJob:
     """One picklable sweep cell: a module-level callable plus arguments.
 
-    Process pools pickle jobs into workers, so ``fn`` must be an
-    importable top-level function — closures (what the serial runner's
-    thunks are) cannot cross the boundary.
+    Worker processes receive jobs by pickling, so ``fn`` must be an
+    importable top-level function, not a closure.
     """
 
     label: str
@@ -105,277 +66,3 @@ class SweepJob:
 
     def run(self) -> object:
         return self.fn(*self.args, **self.kwargs)
-
-    def thunk(self) -> Callable[[], object]:
-        """The serial runner's job shape (for the ``jobs == 1`` path)."""
-        return self.run
-
-
-@dataclass
-class _Attempt:
-    """What a worker sends back: a result or a flattened failure."""
-
-    label: str
-    ok: bool
-    result: object = None
-    attempts: int = 1
-    error_type: str = ""
-    message: str = ""
-    duration_s: float = 0.0
-    traceback: str = ""
-
-
-def _execute_job(
-    job: SweepJob, retries: int, backoff_s: float, child_seed: int
-) -> _Attempt:
-    """Worker-side body: deterministic seeding, then retry with backoff.
-
-    Runs inside the pool process.  Exceptions are flattened to strings
-    here so the parent never needs to unpickle an arbitrary exception
-    class (some carry keyword-only constructors that break pickling).
-    """
-    random.seed(child_seed)
-    try:
-        import numpy as _np
-
-        _np.random.seed(child_seed & 0xFFFFFFFF)
-    except ImportError:  # pragma: no cover - numpy is a hard dep today
-        pass
-    error: Optional[BaseException] = None
-    attempts = 0
-    started = time.perf_counter()
-    for attempt in range(retries + 1):
-        attempts = attempt + 1
-        if attempt:
-            time.sleep(backoff_s * 2 ** (attempt - 1))
-        try:
-            result = job.run()
-        except Exception as exc:  # noqa: BLE001 - mirrors the serial runner
-            error = exc
-            continue
-        return _Attempt(
-            label=job.label,
-            ok=True,
-            result=result,
-            attempts=attempts,
-            duration_s=time.perf_counter() - started,
-        )
-    assert error is not None
-    return _Attempt(
-        label=job.label,
-        ok=False,
-        attempts=attempts,
-        error_type=type(error).__name__,
-        message=str(error),
-        duration_s=time.perf_counter() - started,
-        traceback=format_exception(error),
-    )
-
-
-class ParallelSweepExecutor:
-    """Run sweep jobs across ``jobs`` worker processes.
-
-    The contract (documented in docs/internals.md §9):
-
-    * results/failures/resumed come back in submission order;
-    * the parent is the only checkpoint writer, recording completions as
-      they arrive — a killed run resumes from whatever finished;
-    * a worker that dies outright (OOM-kill, segfault) surfaces as a
-      ``FailureRecord`` whose ``error_type`` names the pool error; it is
-      never silently dropped;
-    * ``jobs == 1`` delegates to the serial resilient runner unchanged.
-    """
-
-    def __init__(
-        self,
-        jobs: Optional[int] = None,
-        *,
-        retries: int = 2,
-        backoff_s: float = 0.5,
-        checkpoint: Optional[Checkpoint] = None,
-        on_event: Optional[Callable[[str, str], None]] = None,
-        base_seed: int = 0,
-        tracer: Optional["Tracer"] = None,
-    ) -> None:
-        self.jobs = resolve_jobs(jobs)
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.checkpoint = checkpoint
-        self.on_event = on_event
-        self.base_seed = base_seed
-        #: observability (repro.obs): the parent process emits
-        #: sweep.begin/job_done/job_failed/job_resumed/heartbeat/end so a
-        #: long sweep's progress is visible from its trace file.  Workers
-        #: never touch the tracer — only completions crossing back into
-        #: the parent do.
-        self.tracer = tracer
-        self._total = 0
-        self._completed = 0
-        self._failed = 0
-
-    def _notify(self, label: str, event: str) -> None:
-        if self.on_event is not None:
-            self.on_event(label, event)
-
-    def _emit(self, kind: str, **args: object) -> None:
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(kind, src="sweep", args=args)
-
-    def _job_event(self, label: str, event: str, **extra: object) -> None:
-        """Fan one job completion out to the callback and the tracer."""
-        self._notify(label, event)
-        kind = _SWEEP_EVENT_KINDS.get(event)
-        if kind is None:
-            return
-        self._completed += 1
-        if event == "failed":
-            self._failed += 1
-        self._emit(kind, label=label, **extra)
-        self._emit(
-            "sweep.heartbeat",
-            done=self._completed,
-            total=self._total,
-            failed=self._failed,
-        )
-
-    def run(self, sweep_jobs: Sequence[SweepJob]) -> SweepOutcome:
-        """Run every job; never raises for job failures (they become
-        :class:`FailureRecord` entries, as in the serial runner)."""
-        labels = [job.label for job in sweep_jobs]
-        if len(set(labels)) != len(labels):
-            raise ValueError("sweep job labels must be unique")
-        self._total = len(sweep_jobs)
-        self._completed = 0
-        self._failed = 0
-        self._emit("sweep.begin", n_jobs=len(sweep_jobs), workers=self.jobs)
-        if self.jobs == 1:
-            outcome = run_resilient_jobs(
-                [(job.label, job.thunk()) for job in sweep_jobs],
-                retries=self.retries,
-                backoff_s=self.backoff_s,
-                checkpoint=self.checkpoint,
-                on_event=self._job_event,
-            )
-        else:
-            outcome = self._run_pool(sweep_jobs)
-        self._emit(
-            "sweep.end",
-            ok=len(outcome.results),
-            failed=len(outcome.failures),
-            resumed=len(outcome.resumed),
-        )
-        return outcome
-
-    def _run_pool(self, sweep_jobs: Sequence[SweepJob]) -> SweepOutcome:
-        checkpoint = self.checkpoint
-        resumed: Dict[str, object] = {}
-        if checkpoint is not None:
-            checkpoint.load()
-            for job in sweep_jobs:
-                prior = checkpoint.result_for(job.label)
-                if prior is not None:
-                    resumed[job.label] = prior
-        pending = [job for job in sweep_jobs if job.label not in resumed]
-        attempts: Dict[str, _Attempt] = {}
-        if pending:
-            with ProcessPoolExecutor(max_workers=self.jobs) as pool:
-                futures = {
-                    pool.submit(
-                        _execute_job,
-                        job,
-                        self.retries,
-                        self.backoff_s,
-                        derive_job_seed(self.base_seed, job.label),
-                    ): job
-                    for job in pending
-                }
-                for future in as_completed(futures):
-                    job = futures[future]
-                    try:
-                        attempt = future.result()
-                    except Exception as exc:  # pool/worker death, not job code
-                        attempt = _Attempt(
-                            label=job.label,
-                            ok=False,
-                            attempts=1,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                        )
-                    attempts[attempt.label] = attempt
-                    # Parent-side single-writer checkpointing, in
-                    # completion order; sorted-keys JSON makes the final
-                    # file independent of that order.
-                    if attempt.ok:
-                        if checkpoint is not None:
-                            checkpoint.record_success(attempt.label, attempt.result)
-                        self._job_event(
-                            attempt.label,
-                            "ok",
-                            attempts=attempt.attempts,
-                            duration_s=round(attempt.duration_s, 6),
-                        )
-                    else:
-                        if checkpoint is not None:
-                            checkpoint.record_failure(
-                                _attempt_failure(attempt, job)
-                            )
-                        self._job_event(
-                            attempt.label,
-                            "failed",
-                            attempts=attempt.attempts,
-                            error_type=attempt.error_type,
-                            duration_s=round(attempt.duration_s, 6),
-                        )
-        # Ordered reassembly: submission order, exactly like the serial
-        # runner's outcome (resumed labels included).
-        outcome = SweepOutcome()
-        for job in sweep_jobs:
-            if job.label in resumed:
-                outcome.results[job.label] = resumed[job.label]
-                outcome.resumed.append(job.label)
-                self._job_event(job.label, "resumed")
-                continue
-            attempt = attempts[job.label]
-            if attempt.ok:
-                outcome.results[job.label] = attempt.result
-            else:
-                outcome.failures.append(_attempt_failure(attempt, job))
-        return outcome
-
-    def map(self, sweep_jobs: Sequence[SweepJob]) -> List[object]:
-        """Run jobs and return results in submission order, raising
-        :class:`SweepExecutionError` if any job failed — the parallel
-        analogue of a plain (non-resilient) serial sweep."""
-        outcome = self.run(sweep_jobs)
-        if outcome.failures:
-            first = outcome.failures[0]
-            raise SweepExecutionError(
-                f"{len(outcome.failures)} of {len(sweep_jobs)} sweep jobs "
-                f"failed; first: {first.label}: {first.error_type}: "
-                f"{first.message}"
-            )
-        return outcome.ordered_results([job.label for job in sweep_jobs])
-
-
-def _attempt_failure(
-    attempt: _Attempt, job: Optional[SweepJob] = None
-) -> FailureRecord:
-    record = FailureRecord(
-        label=attempt.label,
-        attempts=attempt.attempts,
-        error_type=attempt.error_type,
-        message=attempt.message,
-        traceback=attempt.traceback,
-    )
-    if job is not None:
-        record.apply_provenance(job.provenance)
-    return record
-
-
-def run_sweep_jobs(
-    sweep_jobs: Sequence[SweepJob],
-    jobs: Optional[int] = None,
-    **executor_kwargs,
-) -> SweepOutcome:
-    """One-call convenience over :class:`ParallelSweepExecutor`."""
-    return ParallelSweepExecutor(jobs, **executor_kwargs).run(sweep_jobs)

@@ -1,17 +1,21 @@
-"""Sweep drivers used by the benchmark suite.
+"""Sweep drivers used by the benchmark suite and the CLI.
 
-Each function regenerates one of the paper's artifacts end to end and
+Each sweep regenerates one of the paper's artifacts end to end and
 returns structured results; the benchmark files print them with the
 :mod:`repro.analysis.tables` renderers and assert the paper's *shape*
 claims (who wins, orderings, trends).
 
-Every sweep takes ``jobs``: ``1`` (the default) runs the exact serial
-path, any other value fans the independent simulation cells out across
-a process pool via :class:`repro.analysis.parallel.ParallelSweepExecutor`
-(``None`` means one worker per CPU).  Serial and parallel runs of the
-same sweep produce identical results — each cell is a deterministic
-function of its arguments — which `tests/analysis/test_parallel.py`
-locks in byte-for-byte on the exported tables and checkpoints.
+A sweep is a list of :class:`~repro.analysis.parallel.SweepJob` cells
+(:func:`spec_pair_jobs`, :func:`parsec_jobs`) run by the one sweep
+executor, :class:`~repro.robustness.supervisor.SupervisedSweepExecutor`.
+Every sweep takes ``jobs``: ``1`` (the default) runs the cells in this
+process, any other value across worker processes (``None`` means one
+per CPU).  Results are identical either way — each cell is a
+deterministic function of its arguments — which
+`tests/analysis/test_parallel.py` locks in byte-for-byte on the
+exported tables and checkpoints.  The plain sweeps here raise
+:class:`~repro.common.errors.SweepExecutionError` if a cell fails; the
+CLI runs the same job lists with retries, a checkpoint and quarantine.
 """
 
 from __future__ import annotations
@@ -24,24 +28,21 @@ from repro.analysis.experiment import (
     ExperimentResult,
     SimulationBudget,
     run_experiment_job,
-    run_parsec_experiment,
-    run_spec_pair_experiment,
 )
-from repro.analysis.parallel import ParallelSweepExecutor, SweepJob
+from repro.analysis.parallel import SweepJob
 from repro.common.config import SimConfig, scaled_experiment_config
 from repro.obs.manifest import config_fingerprint
-from repro.robustness.resilience import (
-    Checkpoint,
-    SweepOutcome,
-    run_resilient_jobs,
-)
-from repro.robustness.supervisor import SupervisedSweepExecutor
+from repro.robustness.resilience import Checkpoint
 from repro.workloads.mixes import (
     PARSEC_BENCHMARKS,
     SPEC_MIXED_PAIRS,
     SPEC_SAME_PAIRS,
     pair_label,
 )
+
+#: default simulation seeds of the SPEC-pair and PARSEC sweeps
+SPEC_SEED = 0xBEEF
+PARSEC_SEED = 0xFACE
 
 
 def _sweep_provenance(config: SimConfig, seed: int) -> Dict[str, object]:
@@ -60,7 +61,7 @@ def _sweep_provenance(config: SimConfig, seed: int) -> Dict[str, object]:
     }
 
 
-def _spec_pair_jobs(
+def spec_pair_jobs(
     config: SimConfig,
     pairs: Sequence[Tuple[str, str]],
     instructions: int,
@@ -91,7 +92,7 @@ def _spec_pair_jobs(
     return jobs
 
 
-def _parsec_jobs(
+def parsec_jobs(
     config: SimConfig,
     benchmarks: Sequence[str],
     instructions_per_thread: int,
@@ -124,11 +125,22 @@ def _parsec_jobs(
     return jobs
 
 
+def _map(sweep_jobs: Sequence[SweepJob], jobs: Optional[int], seed: int):
+    """Run a plain sweep's jobs: results in submission order, raising
+    :class:`~repro.common.errors.SweepExecutionError` on any failure."""
+    # Imported here: the supervisor imports this package (a cycle).
+    from repro.robustness.supervisor import SupervisedSweepExecutor
+
+    return SupervisedSweepExecutor(jobs, retries=0, base_seed=seed).map(
+        sweep_jobs
+    )
+
+
 def spec_pair_sweep(
     pairs: Sequence[Tuple[str, str]] = tuple(SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS),
     instructions: int = 120_000,
     llc_kib: int = 128,
-    seed: int = 0xBEEF,
+    seed: int = SPEC_SEED,
     jobs: Optional[int] = 1,
     engine: str = "object",
 ) -> List[ExperimentResult]:
@@ -136,23 +148,14 @@ def spec_pair_sweep(
     config = scaled_experiment_config(
         num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
     )
-    if jobs == 1:
-        return [
-            run_spec_pair_experiment(
-                config, a, b, instructions=instructions, seed=seed
-            )
-            for a, b in pairs
-        ]
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
-    results = executor.map(_spec_pair_jobs(config, pairs, instructions, seed))
-    return list(results)  # type: ignore[arg-type]
+    return _map(spec_pair_jobs(config, pairs, instructions, seed), jobs, seed)
 
 
 def parsec_sweep(
     benchmarks: Sequence[str] = tuple(PARSEC_BENCHMARKS),
     instructions_per_thread: int = 1_000_000,
     llc_kib: int = 128,
-    seed: int = 0xFACE,
+    seed: int = PARSEC_SEED,
     jobs: Optional[int] = 1,
     engine: str = "object",
 ) -> List[ExperimentResult]:
@@ -160,25 +163,18 @@ def parsec_sweep(
     config = scaled_experiment_config(
         num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
     )
-    if jobs == 1:
-        return [
-            run_parsec_experiment(
-                config, b, instructions_per_thread=instructions_per_thread, seed=seed
-            )
-            for b in benchmarks
-        ]
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
-    results = executor.map(
-        _parsec_jobs(config, benchmarks, instructions_per_thread, seed)
+    return _map(
+        parsec_jobs(config, benchmarks, instructions_per_thread, seed),
+        jobs,
+        seed,
     )
-    return list(results)  # type: ignore[arg-type]
 
 
 def llc_sensitivity_sweep(
     pairs: Sequence[Tuple[str, str]],
     llc_sizes_kib: Sequence[int] = (128, 256, 512),
     instructions: int = 120_000,
-    seed: int = 0xBEEF,
+    seed: int = SPEC_SEED,
     jobs: Optional[int] = 1,
     engine: str = "object",
 ) -> Dict[int, List[ExperimentResult]]:
@@ -186,169 +182,38 @@ def llc_sensitivity_sweep(
 
     The paper's 2/4/8 MB sweep maps to 128/256/512 KiB at the model's
     16x scale factor; the claim under test is the monotone shrink of the
-    mean overhead with LLC size.  With ``jobs != 1`` every (size, pair)
-    cell runs concurrently — the whole grid is one flat job list.
+    mean overhead with LLC size.  The whole (size, pair) grid is one
+    flat job list, so every cell can run concurrently.
     """
-    results: Dict[int, List[ExperimentResult]] = {}
-    if jobs == 1:
-        for llc_kib in llc_sizes_kib:
-            config = scaled_experiment_config(
-                num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
-            )
-            results[llc_kib] = [
-                run_spec_pair_experiment(
-                    config, a, b, instructions=instructions, seed=seed
-                )
-                for a, b in pairs
-            ]
-        return results
     all_jobs: List[SweepJob] = []
     for llc_kib in llc_sizes_kib:
         config = scaled_experiment_config(
             num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
         )
         all_jobs.extend(
-            _spec_pair_jobs(
+            spec_pair_jobs(
                 config, pairs, instructions, seed, label_prefix=f"{llc_kib}KiB/"
             )
         )
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
-    flat = executor.map(all_jobs)
+    flat = _map(all_jobs, jobs, seed)
     per_size = len(pairs)
-    for i, llc_kib in enumerate(llc_sizes_kib):
-        results[llc_kib] = list(flat[i * per_size : (i + 1) * per_size])  # type: ignore[arg-type]
-    return results
+    return {
+        llc_kib: flat[i * per_size : (i + 1) * per_size]
+        for i, llc_kib in enumerate(llc_sizes_kib)
+    }
 
 
-def _result_checkpoint(
+def result_checkpoint(
     checkpoint_path: Optional[Union[str, Path]]
 ) -> Optional[Checkpoint]:
+    """A checkpoint of :class:`ExperimentResult` cells at
+    ``checkpoint_path`` (``None`` when no path is given)."""
     if checkpoint_path is None:
         return None
     from repro.analysis.export import result_from_dict, result_to_dict
 
     return Checkpoint(
         checkpoint_path, serialize=result_to_dict, deserialize=result_from_dict
-    )
-
-
-def resilient_spec_pair_sweep(
-    pairs: Sequence[Tuple[str, str]] = tuple(SPEC_SAME_PAIRS + SPEC_MIXED_PAIRS),
-    instructions: int = 120_000,
-    llc_kib: int = 128,
-    seed: int = 0xBEEF,
-    budget: Optional[SimulationBudget] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    retries: int = 2,
-    backoff_s: float = 0.5,
-    jobs: Optional[int] = 1,
-    engine: str = "object",
-    deadline_s: Optional[float] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    manifest_id: str = "",
-    obs_dir: Optional[Union[str, Path]] = None,
-) -> SweepOutcome:
-    """:func:`spec_pair_sweep` under the resilient runner.
-
-    A pair that crashes or exceeds ``budget`` is retried with backoff and
-    ultimately becomes a ``FailureRecord`` instead of sinking the sweep;
-    ``checkpoint_path`` enables resume — completed pairs are loaded, not
-    re-simulated, and previously failed pairs get a fresh chance.  With
-    ``jobs != 1`` the pairs run under the supervised executor
-    (:class:`~repro.robustness.supervisor.SupervisedSweepExecutor`):
-    one worker process per in-flight pair with heartbeat monitoring, so
-    a crashed worker is detected and rescheduled and (with
-    ``deadline_s``) a hung worker is killed at the deadline.  Poison
-    pairs are quarantined with full provenance under ``quarantine_dir``.
-    Retry/checkpoint/resume semantics and the results themselves are
-    identical to the serial path.
-    """
-    config = scaled_experiment_config(
-        num_cores=1, llc_kib=llc_kib, seed=seed, engine=engine
-    )
-
-    if jobs == 1:
-
-        def job(a: str, b: str):
-            return lambda: run_spec_pair_experiment(
-                config, a, b, instructions=instructions, seed=seed, budget=budget
-            )
-
-        serial_jobs = [(pair_label(a, b), job(a, b)) for a, b in pairs]
-        return run_resilient_jobs(
-            serial_jobs,
-            retries=retries,
-            backoff_s=backoff_s,
-            checkpoint=_result_checkpoint(checkpoint_path),
-        )
-    executor = SupervisedSweepExecutor(
-        jobs,
-        retries=retries,
-        backoff_s=backoff_s,
-        deadline_s=deadline_s,
-        checkpoint=_result_checkpoint(checkpoint_path),
-        base_seed=seed,
-        quarantine_dir=quarantine_dir,
-        manifest_id=manifest_id,
-        obs_dir=obs_dir,
-    )
-    return executor.run(_spec_pair_jobs(config, pairs, instructions, seed, budget))
-
-
-def resilient_parsec_sweep(
-    benchmarks: Sequence[str] = tuple(PARSEC_BENCHMARKS),
-    instructions_per_thread: int = 1_000_000,
-    llc_kib: int = 128,
-    seed: int = 0xFACE,
-    budget: Optional[SimulationBudget] = None,
-    checkpoint_path: Optional[Union[str, Path]] = None,
-    retries: int = 2,
-    backoff_s: float = 0.5,
-    jobs: Optional[int] = 1,
-    engine: str = "object",
-    deadline_s: Optional[float] = None,
-    quarantine_dir: Optional[Union[str, Path]] = None,
-    manifest_id: str = "",
-    obs_dir: Optional[Union[str, Path]] = None,
-) -> SweepOutcome:
-    """:func:`parsec_sweep` under the resilient runner (see
-    :func:`resilient_spec_pair_sweep` for the failure and supervision
-    semantics)."""
-    config = scaled_experiment_config(
-        num_cores=2, llc_kib=llc_kib, seed=seed, engine=engine
-    )
-
-    if jobs == 1:
-
-        def job(bench: str):
-            return lambda: run_parsec_experiment(
-                config,
-                bench,
-                instructions_per_thread=instructions_per_thread,
-                seed=seed,
-                budget=budget,
-            )
-
-        serial_jobs = [(bench, job(bench)) for bench in benchmarks]
-        return run_resilient_jobs(
-            serial_jobs,
-            retries=retries,
-            backoff_s=backoff_s,
-            checkpoint=_result_checkpoint(checkpoint_path),
-        )
-    executor = SupervisedSweepExecutor(
-        jobs,
-        retries=retries,
-        backoff_s=backoff_s,
-        deadline_s=deadline_s,
-        checkpoint=_result_checkpoint(checkpoint_path),
-        base_seed=seed,
-        quarantine_dir=quarantine_dir,
-        manifest_id=manifest_id,
-        obs_dir=obs_dir,
-    )
-    return executor.run(
-        _parsec_jobs(config, benchmarks, instructions_per_thread, seed, budget)
     )
 
 
@@ -418,7 +283,7 @@ def batched_replay_run(
     :class:`~repro.core.timecache.TimeCacheSystem` via
     :func:`repro.cpu.tracing.replay_ops` (``batch=False`` replays the
     identical stream scalar).  Deterministic in its arguments and
-    picklable, so sweeps can fan cells across the process pool; scalar
+    picklable, so sweeps can fan cells across worker processes; scalar
     and batched runs of the same cell must produce identical summaries
     — the equivalence tests lock that in across ``--jobs N``.
     """
@@ -466,18 +331,8 @@ def batched_replay_sweep(
     jobs: Optional[int] = 1,
     seed: int = 7,
 ) -> List[Dict[str, object]]:
-    """A sweep of independent batched-replay cells (one seed per cell).
-
-    ``jobs=1`` runs the exact serial path; anything else fans the cells
-    across the process pool, same contract as the other sweeps: the
-    result list is identical either way.
-    """
-    if jobs == 1:
-        return [
-            batched_replay_run(accesses, engine, batch, seed + i)
-            for i in range(cells)
-        ]
-    executor = ParallelSweepExecutor(jobs, retries=0, base_seed=seed)
+    """A sweep of independent batched-replay cells (one seed per cell);
+    the result list is identical at any ``jobs``."""
     sweep_jobs = [
         SweepJob(
             label=f"replay{i}",
@@ -486,7 +341,7 @@ def batched_replay_sweep(
         )
         for i in range(cells)
     ]
-    return list(executor.map(sweep_jobs))  # type: ignore[arg-type]
+    return _map(sweep_jobs, jobs, seed)
 
 
 def write_run_manifest(

@@ -54,9 +54,9 @@ class SimulationTimeout(ReproError):
 
 
 class SweepExecutionError(ReproError):
-    """A non-resilient parallel sweep had at least one failed job.
+    """A plain sweep had at least one failed job.
 
-    Raised by :meth:`repro.analysis.parallel.ParallelSweepExecutor.map`
+    Raised by :meth:`repro.robustness.supervisor.SupervisedSweepExecutor.map`
     after every job has finished, so one bad cell cannot abort its
     siblings mid-flight; the message names the first failure.
     """

@@ -1,6 +1,6 @@
-"""Robustness layer: fault injection, invariant checking, resilient sweeps.
+"""Robustness layer: fault injection, invariant checking, sweep execution.
 
-Three independent pieces, usable separately:
+Independent pieces, usable separately:
 
 * :mod:`repro.robustness.invariants` — an :class:`InvariantChecker` that
   watches a running :class:`~repro.core.timecache.TimeCacheSystem` and
@@ -10,15 +10,16 @@ Three independent pieces, usable separately:
   save/restore), plus the campaign driver in
   :mod:`repro.robustness.campaign` producing a detection matrix
   (``repro faults`` on the command line);
-* :mod:`repro.robustness.resilience` — retry/backoff, graceful
-  degradation, and checkpoint/resume for long sweeps (used by
-  :mod:`repro.analysis.runner`);
+* :mod:`repro.robustness.resilience` — failure records, sweep outcomes
+  and checkpoint/resume for long sweeps;
 * :mod:`repro.robustness.safeio` — crash-safe JSON persistence (atomic
   rename, content checksums, rotated last-good backups) used by every
   durable artifact writer in the repo;
-* :mod:`repro.robustness.supervisor` — heartbeat-supervised sweep
-  execution: hung workers are killed and rescheduled, poison jobs are
-  quarantined with full provenance (``SupervisedSweepExecutor``);
+* :mod:`repro.robustness.supervisor` — the one sweep executor
+  (``SupervisedSweepExecutor``): retry/backoff, checkpointing and
+  quarantine with full provenance, with attempts run in process or in
+  heartbeat-supervised workers whose crashes and hangs are detected and
+  rescheduled (used by :mod:`repro.analysis.runner` and the CLI);
 * :mod:`repro.robustness.chaos` — deterministic orchestration-level
   chaos (kill/hang/corrupt/io_error) and the ``repro chaos`` resilience
   scorecard campaign.
@@ -50,7 +51,6 @@ from repro.robustness.resilience import (
     Checkpoint,
     FailureRecord,
     SweepOutcome,
-    run_resilient_jobs,
 )
 
 #: lazily-resolved exports (module -> names); see the module docstring
@@ -107,7 +107,6 @@ __all__ = [
     "load_quarantine_record",
     "run_chaos_campaign",
     "run_fault_campaign",
-    "run_resilient_jobs",
     "run_single_injection",
     "write_quarantine_record",
 ]

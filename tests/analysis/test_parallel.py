@@ -1,9 +1,9 @@
-"""The parallel sweep executor: equivalence, resume, failure propagation.
+"""The sweep executor: equivalence, resume, failure propagation.
 
-The load-bearing correctness check for the process-pool layer is
-serial/parallel *equivalence*: the same seeds must produce byte-identical
-exported tables and checkpoints whether cells run in-process one by one
-or out of order across workers.
+The load-bearing correctness check for the executor's two backends is
+*equivalence*: the same seeds must produce byte-identical exported
+tables and checkpoints whether cells run in-process one by one (inline,
+``jobs == 1``) or out of order across worker processes.
 """
 
 import json
@@ -17,22 +17,16 @@ from repro.analysis.export import (
     result_to_dict,
     sweep_to_dict,
 )
-from repro.analysis.parallel import (
-    ParallelSweepExecutor,
-    SweepJob,
-    derive_job_seed,
-    resolve_jobs,
-)
-from repro.analysis.runner import (
-    llc_sensitivity_sweep,
-    resilient_spec_pair_sweep,
-    spec_pair_sweep,
-)
+from repro.analysis.parallel import SweepJob, derive_job_seed, resolve_jobs
+from repro.analysis.runner import llc_sensitivity_sweep, spec_pair_sweep
 from repro.common.config import scaled_experiment_config
 from repro.common.errors import SweepExecutionError
 from repro.robustness.campaign import run_injection_uncaught
 from repro.robustness.resilience import Checkpoint
+from repro.robustness.supervisor import SupervisedSweepExecutor
 from repro.workloads.mixes import pair_label
+
+from tests.conftest import run_spec_pairs
 
 PAIRS = [("wrf", "wrf"), ("milc", "milc")]
 INSTRUCTIONS = 2_000
@@ -69,11 +63,8 @@ class TestSerialParallelEquivalence:
         paths = {}
         for jobs in (1, 2):
             path = tmp_path / f"ck{jobs}.json"
-            outcome = resilient_spec_pair_sweep(
-                pairs=PAIRS,
-                instructions=INSTRUCTIONS,
-                checkpoint_path=path,
-                jobs=jobs,
+            outcome = run_spec_pairs(
+                PAIRS, INSTRUCTIONS, jobs=jobs, checkpoint_path=path
             )
             assert outcome.complete
             paths[jobs] = path.read_bytes()
@@ -83,9 +74,7 @@ class TestSerialParallelEquivalence:
         labels = [pair_label(a, b) for a, b in PAIRS]
         blobs = {}
         for jobs in (1, 2):
-            outcome = resilient_spec_pair_sweep(
-                pairs=PAIRS, instructions=INSTRUCTIONS, jobs=jobs
-            )
+            outcome = run_spec_pairs(PAIRS, INSTRUCTIONS, jobs=jobs)
             target = tmp_path / f"out{jobs}.json"
             export_outcome(outcome, labels, target)
             blobs[jobs] = target.read_bytes()
@@ -98,8 +87,8 @@ class TestResume:
         behind) resumes under --jobs 2: completed cells load, missing
         cells re-run, and the final file matches an uninterrupted run."""
         path = tmp_path / "ck.json"
-        outcome = resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
+        outcome = run_spec_pairs(
+            PAIRS, INSTRUCTIONS, jobs=2, checkpoint_path=path
         )
         assert outcome.complete
         full = path.read_bytes()
@@ -116,8 +105,8 @@ class TestResume:
         path.write_text(json.dumps(safeio.seal(payload)))
         safeio.backup_path(path).unlink()
 
-        resumed = resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
+        resumed = run_spec_pairs(
+            PAIRS, INSTRUCTIONS, jobs=2, checkpoint_path=path
         )
         assert resumed.complete
         assert resumed.resumed == [pair_label(*PAIRS[0])]
@@ -125,11 +114,11 @@ class TestResume:
 
     def test_fully_complete_checkpoint_runs_nothing(self, tmp_path):
         path = tmp_path / "ck.json"
-        resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
+        run_spec_pairs(
+            PAIRS, INSTRUCTIONS, jobs=2, checkpoint_path=path
         )
-        again = resilient_spec_pair_sweep(
-            pairs=PAIRS, instructions=INSTRUCTIONS, checkpoint_path=path, jobs=2
+        again = run_spec_pairs(
+            PAIRS, INSTRUCTIONS, jobs=2, checkpoint_path=path
         )
         assert sorted(again.resumed) == sorted(pair_label(a, b) for a, b in PAIRS)
 
@@ -140,9 +129,10 @@ class TestFailurePropagation:
     # change there will fail this test loudly, not silently.
     DETECTED = ("sbit-corruption", 0)
 
-    def test_invariant_violation_from_child_is_recorded(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_invariant_violation_from_child_is_recorded(self, jobs):
         model, seed = self.DETECTED
-        executor = ParallelSweepExecutor(2, retries=0)
+        executor = SupervisedSweepExecutor(jobs, retries=0)
         outcome = executor.run(
             [
                 SweepJob("inject", run_injection_uncaught, (model, seed)),
@@ -158,7 +148,7 @@ class TestFailurePropagation:
 
     def test_map_raises_sweep_execution_error(self):
         model, seed = self.DETECTED
-        executor = ParallelSweepExecutor(2, retries=0)
+        executor = SupervisedSweepExecutor(2, retries=0)
         with pytest.raises(SweepExecutionError, match="InvariantViolation"):
             executor.map([SweepJob("inject", run_injection_uncaught, (model, seed))])
 
@@ -168,7 +158,7 @@ class TestFailurePropagation:
         checkpoint = Checkpoint(
             path, serialize=result_to_dict, deserialize=result_from_dict
         )
-        executor = ParallelSweepExecutor(2, retries=0, checkpoint=checkpoint)
+        executor = SupervisedSweepExecutor(2, retries=0, checkpoint=checkpoint)
         executor.run([SweepJob("inject", run_injection_uncaught, (model, seed))])
         payload = json.loads(path.read_text())
         (record,) = payload["failures"]
@@ -179,8 +169,9 @@ class TestFailurePropagation:
 class TestExecutorContract:
     def test_duplicate_labels_rejected(self):
         job = SweepJob("same", run_injection_uncaught, ("sbit-corruption", 0))
-        with pytest.raises(ValueError, match="unique"):
-            ParallelSweepExecutor(2).run([job, job])
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="unique"):
+                SupervisedSweepExecutor(jobs).run([job, job])
 
     def test_derived_seeds_deterministic_and_distinct(self):
         assert derive_job_seed(7, "a") == derive_job_seed(7, "a")
@@ -195,7 +186,7 @@ class TestExecutorContract:
 
     def test_ordered_reassembly(self):
         config = scaled_experiment_config(num_cores=1, llc_kib=32, seed=1)
-        jobs = []
+        sweep_jobs = []
         for a, b in [("milc", "milc"), ("wrf", "wrf"), ("gobmk", "gobmk")]:
             label = pair_label(a, b)
             spec = ExperimentJob(
@@ -205,6 +196,7 @@ class TestExecutorContract:
                 args=(a, b),
                 kwargs={"instructions": INSTRUCTIONS, "seed": 1},
             )
-            jobs.append(SweepJob(label, run_experiment_job, (spec,)))
-        outcome = ParallelSweepExecutor(2, retries=0).run(jobs)
-        assert list(outcome.results) == [j.label for j in jobs]
+            sweep_jobs.append(SweepJob(label, run_experiment_job, (spec,)))
+        for jobs in (1, 2):
+            outcome = SupervisedSweepExecutor(jobs, retries=0).run(sweep_jobs)
+            assert list(outcome.results) == [j.label for j in sweep_jobs]

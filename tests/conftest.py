@@ -68,3 +68,30 @@ def experiment_config():
     return scaled_experiment_config(
         num_cores=1, llc_kib=32, l1_kib=2, quantum_cycles=20_000
     )
+
+
+def run_spec_pairs(
+    pairs,
+    instructions,
+    jobs=1,
+    checkpoint_path=None,
+    budget=None,
+    retries=2,
+):
+    """A checkpointed SPEC-pair sweep under the one sweep executor, as the
+    CLI runs it: the ``spec_pair_sweep`` cells with retries, an optional
+    checkpoint, and failures recorded instead of raised."""
+    from repro.analysis.runner import SPEC_SEED, result_checkpoint, spec_pair_jobs
+    from repro.robustness.supervisor import SupervisedSweepExecutor
+
+    config = scaled_experiment_config(num_cores=1, seed=SPEC_SEED)
+    executor = SupervisedSweepExecutor(
+        jobs,
+        retries=retries,
+        backoff_s=0.01,
+        checkpoint=result_checkpoint(checkpoint_path),
+        base_seed=SPEC_SEED,
+    )
+    return executor.run(
+        spec_pair_jobs(config, pairs, instructions, SPEC_SEED, budget)
+    )

@@ -198,3 +198,23 @@ def test_console_routing(capsys):
     assert "progress" not in captured.out
     assert "artifact" in captured.out
     assert "bad" in captured.err
+
+
+def test_table2_inline_obs_dir_without_resume(tmp_path, capsys):
+    """``--obs-dir`` works at ``--jobs 1`` and without ``--resume``."""
+    from repro.obs.shards import list_shards, load_shard
+
+    obs_dir = tmp_path / "obs"
+    rc = main(
+        ["--instructions", "2000", "table2", "--pairs", "1", "--jobs", "1",
+         "--quiet", "--obs-dir", str(obs_dir)]
+    )
+    assert rc == 0
+    (path,) = list_shards(obs_dir)
+    shard = load_shard(path)
+    assert shard["ok"] and shard["label"] == "2Xspecrand"
+    with open(obs_dir / "counters.json") as handle:
+        counters = json.load(handle)
+    assert shard["counters"]
+    assert counters["totals"] == shard["counters"]
+    assert (obs_dir / "merged_trace.json").exists()

@@ -1,15 +1,16 @@
-"""Sweep executor progress events, serial and pooled."""
+"""Sweep executor progress events, inline and process backends."""
 
 import os
 
 import pytest
 
-from repro.analysis.parallel import ParallelSweepExecutor, SweepJob
+from repro.analysis.parallel import SweepJob
 from repro.obs import RingBufferSink, Tracer
+from repro.robustness.supervisor import SupervisedSweepExecutor
 
 
 def _square(x):
-    """Module-level so the process pool can pickle it."""
+    """Module-level so worker processes can run it."""
     return x * x
 
 
@@ -20,7 +21,7 @@ def _jobs(n):
 def _traced_run(jobs_arg, sweep_jobs):
     ring = RingBufferSink()
     tracer = Tracer(ring)
-    executor = ParallelSweepExecutor(jobs_arg, retries=0, tracer=tracer)
+    executor = SupervisedSweepExecutor(jobs_arg, retries=0, tracer=tracer)
     outcome = executor.run(sweep_jobs)
     tracer.close()
     return outcome, ring.events
@@ -60,12 +61,18 @@ def test_pool_sweep_emits_same_lifecycle():
     assert kinds[0] == "sweep.begin"
     assert kinds[-1] == "sweep.end"
     assert kinds.count("sweep.job_done") == 4
-    assert kinds.count("sweep.heartbeat") == 4
+    # one heartbeat per completed job; the process backend also emits
+    # in-flight heartbeats (tagged ``in_flight``) while it polls
+    per_job = [
+        e for e in events
+        if e.kind == "sweep.heartbeat" and "in_flight" not in e.args
+    ]
+    assert [e.args["done"] for e in per_job] == [1, 2, 3, 4]
     done = [e for e in events if e.kind == "sweep.job_done"]
     assert all("duration_s" in e.args and "attempts" in e.args for e in done)
 
 
 def test_untraced_executor_unchanged():
-    executor = ParallelSweepExecutor(1, retries=0)
+    executor = SupervisedSweepExecutor(1, retries=0)
     outcome = executor.run(_jobs(2))
     assert [outcome.results[f"job{i}"] for i in range(2)] == [0, 1]

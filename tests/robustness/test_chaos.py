@@ -90,6 +90,25 @@ class TestCampaign:
                 == n
             )
 
+    def test_process_injections_score_the_same_at_jobs_1_and_2(
+        self, tmp_path
+    ):
+        """Sabotage forces the process backend even at ``--jobs 1``, so
+        kills and hangs are injected there too and score identically."""
+        counts = {"kill": 3, "hang": 2}
+        scored = {}
+        for jobs in (1, 2):
+            scorecard = run_chaos_campaign(
+                counts=counts, jobs=jobs, workdir=tmp_path / f"j{jobs}"
+            )
+            scored[jobs] = [
+                (d["index"], d["model"], d["outcome"], d["note"])
+                for d in scorecard.details
+            ]
+        assert scored[1] == scored[2]
+        outcomes = sorted(outcome for _, _, outcome, _ in scored[1])
+        assert outcomes == ["quarantined"] * 2 + ["recovered"] * 3
+
     def test_corrupt_only_campaign_is_deterministic(self, tmp_path):
         counts = {"corrupt": 6, "io_error": 3}
         a = run_chaos_campaign(seed=5, counts=counts, workdir=tmp_path / "a")
@@ -140,13 +159,12 @@ class TestAcceptanceResume:
         # 2. a chaos-interrupted parallel run: worker killed on its
         # first attempt (supervisor reschedules), checkpoint then
         # corrupted on disk after the run (as a kill mid-write would)
-        from repro.analysis.runner import resilient_spec_pair_sweep
+        from repro.robustness.supervisor import SupervisedSweepExecutor
+        from tests.conftest import run_spec_pairs
 
         # the same first-two pairs `table2 --pairs 2` sweeps
         pairs = [("specrand", "specrand"), ("lbm", "lbm")]
         ck = tmp_path / "chaos.json"
-        import repro.analysis.runner as runner_mod
-        from repro.robustness.supervisor import SupervisedSweepExecutor
 
         original = SupervisedSweepExecutor.__init__
 
@@ -161,16 +179,10 @@ class TestAcceptanceResume:
 
         SupervisedSweepExecutor.__init__ = sabotaged_init
         try:
-            outcome = resilient_spec_pair_sweep(
-                pairs=pairs,
-                instructions=2_000,
-                checkpoint_path=ck,
-                jobs=2,
-            )
+            outcome = run_spec_pairs(pairs, 2_000, jobs=2, checkpoint_path=ck)
         finally:
             SupervisedSweepExecutor.__init__ = original
         assert outcome.complete  # the kill was rescheduled, not fatal
-        assert runner_mod is not None
         # corrupt the published checkpoint: torn tail
         ck.write_bytes(ck.read_bytes()[:30])
 
@@ -190,17 +202,18 @@ class TestExitContract:
     ):
         """A sweep with a quarantined cell exits EXIT_PARTIAL, renders a
         gap marker, and names the FailureRecord file."""
-        import repro.analysis.runner as runner_mod
+        from repro.analysis import experiment
 
-        real_pair = runner_mod.run_spec_pair_experiment
+        real_pair = experiment.run_spec_pair_experiment
 
         def poisoned_pair(config, a, b, **kwargs):
             if a == "lbm":  # the second of table2's first two pairs
                 raise ValueError("poison cell")
             return real_pair(config, a, b, **kwargs)
 
-        monkeypatch.setattr(
-            runner_mod, "run_spec_pair_experiment", poisoned_pair
+        # sweep cells dispatch through ExperimentJob's kind table
+        monkeypatch.setitem(
+            experiment._EXPERIMENT_KINDS, "spec_pair", poisoned_pair
         )
         ck = tmp_path / "ck.json"
         code = main(
@@ -215,3 +228,23 @@ class TestExitContract:
         assert "[quarantined]" in captured.out
         assert "geomean*" in captured.out
         assert "quarantined 1 job(s)" in captured.err
+        # the inline backend writes the record next to the checkpoint
+        assert "no record file" not in captured.err
+        assert (tmp_path / "ck.json.quarantine" / "2Xlbm.failure.json").exists()
+
+    def test_failing_cell_without_resume_is_reported_not_raised(
+        self, capsys, monkeypatch
+    ):
+        from repro.analysis import experiment
+
+        def poisoned_pair(config, a, b, **kwargs):
+            raise ValueError("poison cell")
+
+        monkeypatch.setitem(
+            experiment._EXPERIMENT_KINDS, "spec_pair", poisoned_pair
+        )
+        code = main(["--instructions", "2000", "fig8", "--pairs", "1", "--jobs", "1"])
+        captured = capsys.readouterr()
+        # nothing scored at all: fatal, but reported, not raised
+        assert code == 1
+        assert "FAILED 2Xspecrand: ValueError: poison cell" in captured.err

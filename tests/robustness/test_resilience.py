@@ -1,28 +1,59 @@
-"""Retry, graceful degradation, and checkpoint/resume for sweeps."""
+"""Retry, graceful degradation, and checkpoint/resume for sweeps.
+
+These run on the sweep executor's inline backend (``jobs == 1``), where
+jobs execute in this process, so closures can count their own calls.
+"""
 
 import json
+import time
 
 import pytest
 
+import repro.robustness.supervisor as supervisor
+from repro.analysis import experiment
 from repro.analysis.experiment import SimulationBudget
-from repro.analysis.runner import resilient_spec_pair_sweep
+from repro.analysis.parallel import SweepJob
 from repro.common.errors import SimulationTimeout
-from repro.robustness.resilience import (
-    Checkpoint,
-    FailureRecord,
-    run_resilient_jobs,
-)
+from repro.robustness.resilience import Checkpoint, FailureRecord
+from repro.robustness.supervisor import SupervisedSweepExecutor
+
+from tests.conftest import run_spec_pairs
 
 
-def _noop_sleep(_):
-    pass
+def _jobs(*pairs):
+    """Inline-backend jobs from ``(label, callable)`` pairs."""
+    return [SweepJob(label, fn) for label, fn in pairs]
+
+
+def _run(pairs, **kwargs):
+    kwargs.setdefault("backoff_s", 0.0)
+    executor = SupervisedSweepExecutor(1, **kwargs)
+    assert executor.inline
+    return executor.run(_jobs(*pairs))
+
+
+class _FakeClock:
+    """The supervisor's ``time`` module with a clock that only sleep
+    advances, so backoff waits are recorded exactly."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+    def __getattr__(self, name):
+        return getattr(time, name)
 
 
 class TestRetries:
     def test_all_jobs_succeed_first_try(self):
-        outcome = run_resilient_jobs(
-            [("a", lambda: 1), ("b", lambda: 2)], sleep=_noop_sleep
-        )
+        outcome = _run([("a", lambda: 1), ("b", lambda: 2)])
         assert outcome.results == {"a": 1, "b": 2}
         assert outcome.complete
         assert outcome.ordered_results(["b", "a"]) == [2, 1]
@@ -36,35 +67,35 @@ class TestRetries:
                 raise RuntimeError("transient")
             return "ok"
 
-        outcome = run_resilient_jobs(
-            [("flaky", flaky)], retries=2, sleep=_noop_sleep
+        events = []
+        outcome = _run(
+            [("flaky", flaky)],
+            retries=2,
+            on_event=lambda label, event: events.append(event),
         )
         assert outcome.results["flaky"] == "ok"
         assert calls["n"] == 3
         assert outcome.complete
+        assert events == ["retry", "retry", "ok"]
 
-    def test_backoff_is_exponential(self):
-        waits = []
+    def test_backoff_is_exponential(self, monkeypatch):
+        clock = _FakeClock()
+        monkeypatch.setattr(supervisor, "time", clock)
 
         def always_fails():
             raise RuntimeError("no")
 
-        run_resilient_jobs(
-            [("bad", always_fails)],
-            retries=3,
-            backoff_s=0.5,
-            sleep=waits.append,
-        )
-        assert waits == [0.5, 1.0, 2.0]
+        outcome = _run([("bad", always_fails)], retries=3, backoff_s=0.5)
+        assert clock.sleeps == [0.5, 1.0, 2.0]
+        assert outcome.failures[0].attempts == 4
 
     def test_exhausted_job_becomes_failure_record(self):
         def always_fails():
             raise ValueError("deterministic bug")
 
-        outcome = run_resilient_jobs(
+        outcome = _run(
             [("good", lambda: 7), ("bad", always_fails), ("after", lambda: 8)],
             retries=1,
-            sleep=_noop_sleep,
         )
         # Graceful degradation: the good jobs' results survive.
         assert outcome.results == {"good": 7, "after": 8}
@@ -74,13 +105,14 @@ class TestRetries:
         assert failure.attempts == 2
         assert failure.error_type == "ValueError"
         assert "deterministic bug" in failure.message
+        assert "deterministic bug" in failure.traceback
 
     def test_keyboard_interrupt_is_not_swallowed(self):
         def interrupted():
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            run_resilient_jobs([("x", interrupted)], sleep=_noop_sleep)
+            _run([("x", interrupted)])
 
 
 class TestCheckpoint:
@@ -100,10 +132,8 @@ class TestCheckpoint:
 
             return (label, thunk)
 
-        first = run_resilient_jobs(
-            [job("a", 1), job("b", 2)],
-            checkpoint=self._checkpoint(path),
-            sleep=_noop_sleep,
+        first = _run(
+            [job("a", 1), job("b", 2)], checkpoint=self._checkpoint(path)
         )
         assert first.results == {"a": 1, "b": 2}
         payload = json.loads(path.read_text())
@@ -111,10 +141,9 @@ class TestCheckpoint:
         assert set(payload["completed"]) == {"a", "b"}
 
         ran.clear()
-        second = run_resilient_jobs(
+        second = _run(
             [job("a", 1), job("b", 2), job("c", 3)],
             checkpoint=self._checkpoint(path),
-            sleep=_noop_sleep,
         )
         assert ran == ["c"]  # completed jobs were not re-run
         assert second.resumed == ["a", "b"]
@@ -130,15 +159,11 @@ class TestCheckpoint:
             return 42
 
         jobs = [("ok", lambda: 1), ("sick", sometimes)]
-        first = run_resilient_jobs(
-            jobs, retries=1, checkpoint=self._checkpoint(path), sleep=_noop_sleep
-        )
+        first = _run(jobs, retries=1, checkpoint=self._checkpoint(path))
         assert [f.label for f in first.failures] == ["sick"]
 
         healthy["now"] = True
-        second = run_resilient_jobs(
-            jobs, retries=1, checkpoint=self._checkpoint(path), sleep=_noop_sleep
-        )
+        second = _run(jobs, retries=1, checkpoint=self._checkpoint(path))
         assert second.resumed == ["ok"]
         assert second.results["sick"] == 42
         assert second.complete
@@ -160,18 +185,18 @@ class TestCheckpoint:
 
 class TestSweepIntegration:
     def test_resilient_sweep_returns_results(self, tmp_path):
-        outcome = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand")],
-            instructions=4_000,
+        outcome = run_spec_pairs(
+            [("specrand", "specrand")],
+            4_000,
             checkpoint_path=tmp_path / "sweep.json",
         )
         assert outcome.complete
         (result,) = outcome.results.values()
         assert result.baseline.cycles > 0
         # Resume: nothing re-runs, the result round-trips the serializer.
-        again = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand")],
-            instructions=4_000,
+        again = run_spec_pairs(
+            [("specrand", "specrand")],
+            4_000,
             checkpoint_path=tmp_path / "sweep.json",
         )
         assert again.resumed == [result.label]
@@ -185,33 +210,26 @@ class TestSweepIntegration:
         """One forced timeout must not sink the sweep: the other pair
         completes and the timeout is recorded."""
         tight = SimulationBudget(max_instructions=100)
-        outcome = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand")],
-            instructions=4_000,
-            budget=tight,
-            retries=0,
+        outcome = run_spec_pairs(
+            [("specrand", "specrand")], 4_000, budget=tight, retries=0
         )
         (failure,) = outcome.failures
         assert failure.error_type == "SimulationTimeout"
+        assert failure.seed == 0xBEEF  # provenance at jobs == 1 too
         assert not outcome.results
 
     def test_partial_results_with_one_failure(self, monkeypatch):
-        import repro.analysis.runner as runner_mod
-
-        real = runner_mod.run_spec_pair_experiment
+        # Sweep cells dispatch through ExperimentJob's kind table.
+        real = experiment.run_spec_pair_experiment
 
         def sabotaged(config, a, b, **kwargs):
             if a == "lbm":
                 raise SimulationTimeout("forced")
             return real(config, a, b, **kwargs)
 
-        monkeypatch.setattr(
-            runner_mod, "run_spec_pair_experiment", sabotaged
-        )
-        outcome = resilient_spec_pair_sweep(
-            pairs=[("specrand", "specrand"), ("lbm", "lbm")],
-            instructions=4_000,
-            retries=0,
+        monkeypatch.setitem(experiment._EXPERIMENT_KINDS, "spec_pair", sabotaged)
+        outcome = run_spec_pairs(
+            [("specrand", "specrand"), ("lbm", "lbm")], 4_000, retries=0
         )
         assert len(outcome.results) == 1
         (failure,) = outcome.failures

@@ -11,11 +11,12 @@ import json
 
 import pytest
 
-from repro.analysis.runner import resilient_spec_pair_sweep
 from repro.common.errors import CheckpointCorruptionError
 from repro.robustness import safeio
 from repro.robustness.resilience import CHECKPOINT_SCHEMA
 from repro.workloads.mixes import pair_label
+
+from tests.conftest import run_spec_pairs
 
 PAYLOAD = {"schema": 1, "kind": "thing", "values": [1, 2, 3]}
 
@@ -174,12 +175,7 @@ class TestCheckpointRecovery:
     @pytest.fixture(scope="class")
     def uninterrupted(self, tmp_path_factory):
         path = tmp_path_factory.mktemp("ref") / "ck.json"
-        outcome = resilient_spec_pair_sweep(
-            pairs=PAIRS,
-            instructions=INSTRUCTIONS,
-            checkpoint_path=path,
-            jobs=1,
-        )
+        outcome = run_spec_pairs(PAIRS, INSTRUCTIONS, checkpoint_path=path)
         assert outcome.complete
         return path.read_bytes()
 
@@ -187,12 +183,7 @@ class TestCheckpointRecovery:
         """A checkpoint whose backup holds the one-cell generation (what
         an incremental writer leaves after the second cell's publish)."""
         path = tmp_path / "ck.json"
-        outcome = resilient_spec_pair_sweep(
-            pairs=PAIRS,
-            instructions=INSTRUCTIONS,
-            checkpoint_path=path,
-            jobs=1,
-        )
+        outcome = run_spec_pairs(PAIRS, INSTRUCTIONS, checkpoint_path=path)
         assert outcome.complete
         bak = json.loads(safeio.backup_path(path).read_text())
         assert list(bak["completed"]) == [pair_label(*PAIRS[0])]
@@ -219,12 +210,7 @@ class TestCheckpointRecovery:
             tmp = path.with_suffix(path.suffix + safeio.TMP_SUFFIX)
             tmp.write_bytes(path.read_bytes()[:10])
             path.unlink()
-        resumed = resilient_spec_pair_sweep(
-            pairs=PAIRS,
-            instructions=INSTRUCTIONS,
-            checkpoint_path=path,
-            jobs=1,
-        )
+        resumed = run_spec_pairs(PAIRS, INSTRUCTIONS, checkpoint_path=path)
         assert resumed.complete
         # Healed from the one-cell backup: the first pair resumed, the
         # second re-ran, and the final bytes match the clean run exactly.

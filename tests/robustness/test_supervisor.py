@@ -9,6 +9,7 @@ silently missing result.
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -99,23 +100,28 @@ class TestRecovery:
         assert failure.traceback  # worker-side traceback crossed the pipe
 
 
-class TestQuarantine:
-    def test_poison_job_quarantined_with_full_provenance(self, tmp_path):
+def explode(value):
+    raise RuntimeError(f"poison {value}")
+
+
+class _QuarantineContract:
+    """Quarantine tests shared by both backends.  ``poisoned`` gives
+    ``(make_executor, jobs, error_type)`` where job j0 fails every
+    attempt."""
+
+    def test_poison_job_quarantined_with_full_provenance(
+        self, tmp_path, poisoned
+    ):
+        make, jobs, error_type = poisoned
         qdir = tmp_path / "quarantine"
-        executor = SupervisedSweepExecutor(
-            2,
-            retries=1,
-            backoff_s=0.01,
-            poll_s=0.01,
-            quarantine_dir=qdir,
-            manifest_id="deadbeef" * 8,
-            sabotage_for=_sabotage("j0", {0: ("kill", 9)}),
+        executor = make(
+            retries=1, quarantine_dir=qdir, manifest_id="deadbeef" * 8
         )
-        outcome = executor.run(_jobs())
+        outcome = executor.run(jobs)
         assert outcome.results["j1"] == {"value": 2}  # sweep continued
         (failure,) = outcome.failures
         assert failure.label == "j0"
-        assert failure.error_type == "WorkerCrashError"
+        assert failure.error_type == error_type
         assert failure.attempts == 2  # retries + 1, kills count
         # enrichment: job provenance + sweep manifest id
         assert failure.seed == 40
@@ -125,27 +131,36 @@ class TestQuarantine:
         assert failure.manifest_id == "deadbeef" * 8
         # the standalone record round-trips
         assert failure.record_path
+        assert executor.report.record_paths == {"j0": failure.record_path}
         record = load_quarantine_record(failure.record_path)
         assert record.to_dict() == failure.to_dict()
 
-    def test_quarantined_failure_lands_in_checkpoint(self, tmp_path):
+    def test_quarantined_failure_lands_in_checkpoint(self, tmp_path, poisoned):
+        make, jobs, error_type = poisoned
         path = tmp_path / "ck.json"
-        checkpoint = Checkpoint(
-            path, serialize=dict, deserialize=dict
-        )
-        executor = SupervisedSweepExecutor(
-            2,
-            retries=0,
-            backoff_s=0.01,
-            poll_s=0.01,
-            checkpoint=checkpoint,
-            sabotage_for=_sabotage("j0", {0: ("kill", 7)}),
-        )
-        executor.run(_jobs())
+        checkpoint = Checkpoint(path, serialize=dict, deserialize=dict)
+        make(retries=0, checkpoint=checkpoint).run(jobs)
         payload = json.loads(path.read_text())
         (record,) = payload["failures"]
-        assert record["error_type"] == "WorkerCrashError"
+        assert record["error_type"] == error_type
         assert record["seed"] == 40
+
+
+class TestQuarantine(_QuarantineContract):
+    """Process backend: j0's worker is killed on every attempt."""
+
+    @pytest.fixture
+    def poisoned(self):
+        def make(**kwargs):
+            return SupervisedSweepExecutor(
+                2,
+                backoff_s=0.01,
+                poll_s=0.01,
+                sabotage_for=_sabotage("j0", {0: ("kill", 9)}),
+                **kwargs,
+            )
+
+        return make, _jobs(), "WorkerCrashError"
 
     def test_record_path_sanitizes_label(self, tmp_path):
         path = quarantine_record_path(tmp_path, "a/b c:d")
@@ -158,10 +173,51 @@ class TestQuarantine:
         assert record.record_path == str(path)
 
 
+class TestInlineQuarantine(_QuarantineContract):
+    """Inline backend: j0's job raises on every attempt."""
+
+    @pytest.fixture
+    def poisoned(self):
+        jobs = _jobs()
+        jobs[0] = replace(jobs[0], fn=explode)
+
+        def make(**kwargs):
+            executor = SupervisedSweepExecutor(1, backoff_s=0.01, **kwargs)
+            assert executor.inline
+            return executor
+
+        return make, jobs, "RuntimeError"
+
+
 class TestContractCompatibility:
     def test_serial_delegation_unchanged(self):
-        outcome = SupervisedSweepExecutor(1, retries=0).run(_jobs())
+        executor = SupervisedSweepExecutor(1, retries=0)
+        assert executor.inline
+        outcome = executor.run(_jobs())
         assert outcome.results == {"j0": {"value": 0}, "j1": {"value": 2}}
+
+    def test_backend_selection(self):
+        """Inline only at ``jobs == 1`` with nothing a separate process
+        must honour; a deadline or sabotage forces the process backend."""
+        assert SupervisedSweepExecutor(1).inline
+        assert not SupervisedSweepExecutor(2).inline
+        assert not SupervisedSweepExecutor(1, deadline_s=5.0).inline
+        assert not SupervisedSweepExecutor(
+            1, sabotage_for=lambda label, attempt: None
+        ).inline
+
+    def test_single_slot_process_backend_injects_sabotage(self):
+        executor = SupervisedSweepExecutor(
+            1,
+            retries=2,
+            backoff_s=0.01,
+            poll_s=0.01,
+            sabotage_for=_sabotage("j0", {1: ("kill", 9)}),
+        )
+        outcome = executor.run(_jobs())
+        assert outcome.complete
+        assert executor.report.crashes_detected == 1
+        assert executor.report.reschedules == 1
 
     def test_resume_skips_completed_jobs(self, tmp_path):
         path = tmp_path / "ck.json"
