@@ -51,6 +51,18 @@ class DeterministicRng:
         """Uniform integer in the inclusive range [lo, hi]."""
         return self._rng.randint(lo, hi)
 
+    def randbelow(self, n: int) -> int:
+        """Uniform integer in ``[0, n)``, ``n >= 1``.
+
+        Draws exactly what ``randint(0, n - 1)`` draws and leaves the
+        stream in the same state; it only skips ``randint``'s argument
+        handling, which counts in per-op loops such as the workload
+        generators.
+        """
+        if n < 1:
+            raise ValueError(f"randbelow needs n >= 1, got {n}")
+        return self._rng._randbelow(n)
+
     def random(self) -> float:
         return self._rng.random()
 

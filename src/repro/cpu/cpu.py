@@ -6,8 +6,9 @@ count by one cycle per instruction plus the full latency of every memory
 operation — the blocking model the paper's gem5 evaluation uses.
 
 Scheduling decisions (who runs next, quantum expiry, context-switch cost)
-belong to the OS layer; the executor reports each step's outcome so the
-kernel can react.
+belong to the OS layer.  The executor runs a *slice* of operations per
+call, within an operation count and a core-local time bound the kernel
+sets, and reports how the slice ended so the kernel can react.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from repro.cpu.isa import (
     Flush,
     Ifetch,
     Load,
-    Op,
     Rdtsc,
     SleepOp,
     Store,
@@ -36,16 +36,19 @@ from repro.cpu.isa import (
 from repro.cpu.program import ProgramGen
 from repro.memsys.hierarchy import AccessKind
 
-#: AccessRun kind code -> access kind (and the stat counter it bumps)
+#: AccessRun kind code -> access kind
 _KIND_OF_CODE = {
-    "L": (AccessKind.LOAD, "loads"),
-    "S": (AccessKind.STORE, "stores"),
-    "I": (AccessKind.IFETCH, "ifetches"),
+    "L": AccessKind.LOAD,
+    "S": AccessKind.STORE,
+    "I": AccessKind.IFETCH,
 }
+_LOAD = AccessKind.LOAD
+_STORE = AccessKind.STORE
+_IFETCH = AccessKind.IFETCH
 
 
 class StepEvent(enum.Enum):
-    """What happened when the context executed one operation."""
+    """What ended a :meth:`HardwareContext.step` call."""
 
     RUNNING = "running"
     YIELDED = "yielded"
@@ -60,6 +63,19 @@ class StepOutcome:
     event: StepEvent
     #: core-local wake time for SLEEPING, else None
     wake_at: Optional[int] = None
+    #: operations the call executed (generator exhaustion counts as one)
+    ops: int = 1
+
+
+_RUNNING = StepEvent.RUNNING
+_EXITED = StepEvent.EXITED
+#: interned one-op outcomes (what a bare ``step()`` usually returns)
+_ONE_OP = {
+    event: StepOutcome(event)
+    for event in (StepEvent.RUNNING, StepEvent.YIELDED, StepEvent.EXITED)
+}
+#: ``until`` when the caller sets no time bound
+_NO_BOUND = float("inf")
 
 
 #: translates a task virtual address to a physical address
@@ -78,7 +94,6 @@ class HardwareContext:
         self._gen: Optional[ProgramGen] = None
         self._translate: Optional[Translator] = None
         self._pending_result: object = None
-        self._started = False
 
     # ------------------------------------------------------------------
     def install(self, gen: ProgramGen, translate: Translator) -> None:
@@ -86,13 +101,11 @@ class HardwareContext:
         self._gen = gen
         self._translate = translate
         self._pending_result = None
-        self._started = False
 
     def uninstall(self) -> None:
         self._gen = None
         self._translate = None
         self._pending_result = None
-        self._started = False
 
     @property
     def busy(self) -> bool:
@@ -103,114 +116,129 @@ class HardwareContext:
         return self.stats.get("instructions")
 
     # ------------------------------------------------------------------
-    def step(self) -> StepOutcome:
-        """Execute one operation of the installed task."""
-        if self._gen is None or self._translate is None:
-            raise ProgramError(f"ctx{self.ctx_id}: no task installed")
-        try:
-            if not self._started:
-                op = next(self._gen)
-                self._started = True
-            else:
-                op = self._gen.send(self._pending_result)
-        except StopIteration:
-            return StepOutcome(StepEvent.EXITED)
-        return self._execute(op)
+    def step(self, max_ops: int = 1, until: Optional[int] = None) -> StepOutcome:
+        """Execute a slice of the installed task's operations.
 
-    def _execute(self, op: Op) -> StepOutcome:
-        stats = self.stats
-        if isinstance(op, Load):
-            result = self.system.access(
-                self.ctx_id, self._translate(op.vaddr), AccessKind.LOAD, self.local_time
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("loads").add()
+        Operations run back to back until one of these happens: ``max_ops``
+        operations have run, an operation leaves ``local_time >= until``,
+        or the task yields, sleeps or exits.  At least one operation
+        always runs, so a bare ``step()`` executes exactly one.  Each
+        operation sees the same clock and sends the same result back as it
+        would one step at a time; the kernel picks the bounds so that a
+        slice ends exactly where it would otherwise switch contexts.
+
+        The instruction and access counters are added once per call, also
+        when the program or the memory system raises mid-slice.
+        """
+        if max_ops < 1:
+            raise ValueError(f"step needs max_ops >= 1, got {max_ops}")
+        gen = self._gen
+        translate = self._translate
+        if gen is None or translate is None:
+            raise ProgramError(f"ctx{self.ctx_id}: no task installed")
+        bound = _NO_BOUND if until is None else until
+        send = gen.send
+        access = self.system.access
+        ctx_id = self.ctx_id
+        result = self._pending_result
+        event = _RUNNING
+        wake_at = None
+        ops = loads = stores = ifetches = flushes = other = 0
+        try:
+            while True:
+                try:
+                    op = send(result)
+                except StopIteration:
+                    ops += 1
+                    event = _EXITED
+                    result = None
+                    break
+                ops += 1
+                cls = type(op)
+                # translate() runs before local_time is read: a TLB walk
+                # charges the core clock ahead of the access it serves.
+                if cls is Load:
+                    paddr = translate(op.vaddr)
+                    result = access(ctx_id, paddr, _LOAD, self.local_time)
+                    self.local_time += 1 + result.latency
+                    loads += 1
+                elif cls is Compute:
+                    self.local_time += op.instructions
+                    other += op.instructions
+                    result = None
+                elif cls is Ifetch:
+                    paddr = translate(op.vaddr)
+                    result = access(ctx_id, paddr, _IFETCH, self.local_time)
+                    self.local_time += 1 + result.latency
+                    ifetches += 1
+                elif cls is Store:
+                    paddr = translate(op.vaddr)
+                    result = access(ctx_id, paddr, _STORE, self.local_time)
+                    self.local_time += 1 + result.latency
+                    stores += 1
+                elif cls is AccessRun:
+                    paddrs = [translate(v) for v in op.vaddrs]
+                    codes = op.kinds
+                    if len(codes) == 1:
+                        kinds = _KIND_OF_CODE[codes]
+                        codes = codes * len(paddrs)
+                    else:
+                        kinds = [_KIND_OF_CODE[c] for c in codes]
+                    batch = self.system.access_batch(
+                        ctx_id, paddrs, kinds, now=self.local_time, advance=1
+                    )
+                    # batch.now is exactly local_time + sum(1 + latency)
+                    # over the run: the clock the scalar sequence reaches.
+                    self.local_time = batch.now
+                    loads += codes.count("L")
+                    stores += codes.count("S")
+                    ifetches += codes.count("I")
+                    result = batch.results
+                elif cls is Flush:
+                    paddr = translate(op.vaddr)
+                    result = self.system.flush(ctx_id, paddr, self.local_time)
+                    self.local_time += 1 + result.latency
+                    flushes += 1
+                elif cls is Rdtsc:
+                    self.local_time += 1
+                    other += 1
+                    result = self.local_time
+                elif cls is Fence:
+                    self.local_time += 1
+                    other += 1
+                    result = None
+                elif cls is YieldOp:
+                    self.local_time += 1
+                    other += 1
+                    result = None
+                    event = StepEvent.YIELDED
+                    break
+                elif cls is SleepOp:
+                    self.local_time += 1
+                    other += 1
+                    result = None
+                    event = StepEvent.SLEEPING
+                    wake_at = self.local_time + op.cycles
+                    break
+                elif cls is Exit:
+                    other += 1
+                    result = None
+                    event = _EXITED
+                    break
+                else:
+                    raise ProgramError(f"unknown operation {op!r}")
+                if ops >= max_ops or self.local_time >= bound:
+                    break
+        finally:
             self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Store):
-            result = self.system.access(
-                self.ctx_id, self._translate(op.vaddr), AccessKind.STORE, self.local_time
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("stores").add()
-            self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Ifetch):
-            result = self.system.access(
-                self.ctx_id,
-                self._translate(op.vaddr),
-                AccessKind.IFETCH,
-                self.local_time,
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("ifetches").add()
-            self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Flush):
-            result = self.system.flush(
-                self.ctx_id, self._translate(op.vaddr), self.local_time
-            )
-            self.local_time += 1 + result.latency
-            stats.counter("instructions").add()
-            stats.counter("flushes").add()
-            self._pending_result = result
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, AccessRun):
-            translate = self._translate
-            paddrs = [translate(v) for v in op.vaddrs]
-            n = len(paddrs)
-            if len(op.kinds) == 1:
-                kind, counter = _KIND_OF_CODE[op.kinds]
-                batch = self.system.access_batch(
-                    self.ctx_id, paddrs, kind, now=self.local_time, advance=1
-                )
-                stats.counter(counter).add(n)
-            else:
-                kinds = [_KIND_OF_CODE[c][0] for c in op.kinds]
-                batch = self.system.access_batch(
-                    self.ctx_id, paddrs, kinds, now=self.local_time, advance=1
-                )
-                for code, counter in (("L", "loads"), ("S", "stores"),
-                                      ("I", "ifetches")):
-                    count = op.kinds.count(code)
+            instructions = loads + stores + ifetches + flushes + other
+            if instructions:
+                stats = self.stats
+                stats.counter("instructions").add(instructions)
+                for name, count in (("loads", loads), ("stores", stores),
+                                    ("ifetches", ifetches), ("flushes", flushes)):
                     if count:
-                        stats.counter(counter).add(count)
-            # batch.now is exactly local_time + sum(1 + latency) over the
-            # run — the same clock a Load/Store/Ifetch sequence reaches.
-            self.local_time = batch.now
-            stats.counter("instructions").add(n)
-            self._pending_result = batch.results
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Compute):
-            self.local_time += op.instructions
-            stats.counter("instructions").add(op.instructions)
-            self._pending_result = None
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Rdtsc):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = self.local_time
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, Fence):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.RUNNING)
-        if isinstance(op, YieldOp):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.YIELDED)
-        if isinstance(op, SleepOp):
-            self.local_time += 1
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.SLEEPING, wake_at=self.local_time + op.cycles)
-        if isinstance(op, Exit):
-            stats.counter("instructions").add()
-            self._pending_result = None
-            return StepOutcome(StepEvent.EXITED)
-        raise ProgramError(f"unknown operation {op!r}")
+                        stats.counter(name).add(count)
+        if ops == 1 and wake_at is None:
+            return _ONE_OP[event]
+        return StepOutcome(event, wake_at, ops)

@@ -5,7 +5,11 @@
 scheduler.  It advances the machine by always stepping the busy hardware
 context with the *lowest* core-local time (exact event ordering across
 cores, the way a conservative discrete-event simulator would), enforcing
-the quantum, and performing context switches.
+the quantum, and performing context switches.  Each step runs a slice:
+the picked context executes operations until its quantum ends or another
+context would become the lowest-time pick (conservative lookahead), so
+the machine executes the same operations in the same order as it would
+one operation at a time.
 
 A context switch is where the paper's software support runs: the kernel
 calls :meth:`TimeCacheSystem.context_switch`, which saves the outgoing
@@ -165,6 +169,26 @@ class Kernel:
     def _ctx_has_work(self, ctx_id: int) -> bool:
         return self._current[ctx_id] is not None or self.scheduler.pending(ctx_id) > 0
 
+    def _slice_bound(self, ctx_id: int) -> Optional[int]:
+        """The core-local time at which ``ctx_id`` must stop running.
+
+        The earliest of its quantum end (only while its queue holds
+        another task, runnable or asleep) and, for every other context
+        with work, the time at which that context becomes the
+        :meth:`_pick_context` choice: lowest local time first, ties to the
+        lower context id.  ``None`` when nothing bounds the slice.
+        """
+        bound: Optional[int] = None
+        if self.scheduler.pending(ctx_id) > 0:
+            bound = self._slice_start[ctx_id] + self.scheduler.quantum_cycles
+        for other_id, other in enumerate(self.contexts):
+            if other_id == ctx_id or not self._ctx_has_work(other_id):
+                continue
+            limit = other.local_time + (1 if ctx_id < other_id else 0)
+            if bound is None or limit < bound:
+                bound = limit
+        return bound
+
     def _pick_context(self) -> Optional[int]:
         """The busy context with the lowest core-local time."""
         best: Optional[int] = None
@@ -205,7 +229,18 @@ class Kernel:
         budget raises :class:`SimulationTimeout` so a sweep runner can
         record the failure and move on (checked every
         ``stop_check_interval`` steps, like ``stop_when``).
+
+        A step is one executed operation.  The loop runs them in slices
+        that end at every multiple of ``stop_check_interval``, so every
+        check fires at the same step number as it would one step at a
+        time.
         """
+        if max_steps < 0:
+            raise ValueError(f"max_steps must be >= 0, got {max_steps}")
+        if stop_check_interval < 1:
+            raise ValueError(
+                f"stop_check_interval must be >= 1, got {stop_check_interval}"
+            )
         deadline = (
             time.monotonic() + wall_clock_budget_s
             if wall_clock_budget_s is not None
@@ -273,8 +308,12 @@ class Kernel:
                         )
                     hw.local_time = max(hw.local_time, wake)
                     continue
-            outcome = hw.step()
-            steps += 1
+            outcome = hw.step(
+                min(stop_check_interval - steps % stop_check_interval,
+                    max_steps - steps),
+                self._slice_bound(ctx_id),
+            )
+            steps += outcome.ops
             event = outcome.event
             if event is StepEvent.RUNNING:
                 if (

@@ -125,8 +125,19 @@ def _profile_ops(
     ws_lines = profile.data_lines
     lib_lines = profile.shared_lib_lines
     code_lines = profile.code_lines
+    # Hot loop: profile fields and rng draws bound to locals.  randbelow(n)
+    # draws exactly what randint(0, n - 1) does, so the stream is unchanged.
+    ifetch_every = profile.ifetch_every
+    syscall_every = profile.syscall_every
+    mem_ratio = profile.mem_ratio
+    stream_fraction = profile.stream_fraction
+    stream_accesses_per_line = profile.stream_accesses_per_line
+    hot_fraction = profile.hot_fraction
+    write_ratio = profile.write_ratio
+    random = rng.random
+    randbelow = rng.randbelow
     retired = 0
-    stream_pos = rng.randint(0, ws_lines - 1)
+    stream_pos = randbelow(ws_lines)
     stream_in_line = 0
     code_pos = 0
     since_ifetch = 0
@@ -135,14 +146,14 @@ def _profile_ops(
         # Instruction fetch stream: walk the code footprint, with
         # a slice of fetches landing in the shared library.
         since_ifetch += 1
-        if since_ifetch >= profile.ifetch_every:
+        if since_ifetch >= ifetch_every:
             since_ifetch = 0
-            if rng.random() < 0.15 and lib_lines > 0:
-                addr = LIB_BASE + rng.randint(0, lib_lines - 1) * line_bytes
+            if random() < 0.15 and lib_lines > 0:
+                addr = LIB_BASE + randbelow(lib_lines) * line_bytes
             else:
                 code_pos = (code_pos + 1) % code_lines
-                if rng.random() < 0.1:  # branch: jump somewhere
-                    code_pos = rng.randint(0, code_lines - 1)
+                if random() < 0.1:  # branch: jump somewhere
+                    code_pos = randbelow(code_lines)
                 addr = CODE_BASE + code_pos * line_bytes
             yield Ifetch(addr)
             retired += 1
@@ -150,36 +161,35 @@ def _profile_ops(
 
         # Occasional syscall: a burst through shared kernel text.
         since_syscall += 1
-        if since_syscall >= profile.syscall_every:
+        if since_syscall >= syscall_every:
             since_syscall = 0
-            start = rng.randint(0, KERNEL_LINES - 5)
+            start = randbelow(KERNEL_LINES - 4)
             for k in range(4):
                 yield Ifetch(KERNEL_BASE + (start + k) * line_bytes)
             retired += 4
             continue
 
-        if rng.random() < profile.mem_ratio:
+        if random() < mem_ratio:
             # Data access: streaming, hot, or cold.
-            r = rng.random()
-            if r < profile.stream_fraction:
+            if random() < stream_fraction:
                 stream_in_line += 1
-                if stream_in_line >= profile.stream_accesses_per_line:
+                if stream_in_line >= stream_accesses_per_line:
                     stream_in_line = 0
                     stream_pos = (stream_pos + 1) % ws_lines
                 index = stream_pos
-            elif rng.random() < profile.hot_fraction:
-                index = rng.randint(0, hot_lines - 1)
+            elif random() < hot_fraction:
+                index = randbelow(hot_lines)
             else:
-                index = rng.randint(0, ws_lines - 1)
+                index = randbelow(ws_lines)
             addr = DATA_BASE + index * line_bytes
-            if rng.random() < profile.write_ratio:
+            if random() < write_ratio:
                 yield Store(addr)
             else:
                 yield Load(addr)
             retired += 1
         else:
             # A run of ALU work between memory operations.
-            burst = rng.randint(1, 4)
+            burst = 1 + randbelow(4)
             yield Compute(burst)
             retired += burst
 

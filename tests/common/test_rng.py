@@ -110,3 +110,21 @@ def test_choice_shuffle_sample_work():
     assert len(picked) == 3 and len(set(picked)) == 3
     rng.shuffle(seq)
     assert sorted(seq) == list(range(10))
+
+
+def test_randbelow_draws_what_randint_draws():
+    sweep = DeterministicRng(11)
+    bounds = [1, 2, 3, 4, 5, 7, 8, 96, 255, 256, 257, 1000, 2**31 + 5]
+    bounds += [sweep.randint(1, 10**6) for _ in range(40)]
+    a, b = DeterministicRng(3), DeterministicRng(3)
+    for n in bounds:
+        for _ in range(25):
+            assert a.randbelow(n) == b.randint(0, n - 1)
+    # the two streams are left in the same state
+    assert a.random() == b.random()
+
+
+def test_randbelow_rejects_an_empty_range():
+    for bad in (0, -3):
+        with pytest.raises(ValueError, match="randbelow"):
+            DeterministicRng(3).randbelow(bad)

@@ -1,5 +1,7 @@
 """Integration tests for the kernel: dispatch, quanta, switches, sleep."""
 
+import pytest
+
 from repro.cpu.isa import Compute, Exit, Load, SleepOp, Store, YieldOp
 from repro.cpu.program import Program
 from repro.os.kernel import Kernel
@@ -230,3 +232,37 @@ def test_budgetless_run_leaves_seam_disarmed(config):
     kernel.submit(task)
     kernel.run()
     assert kernel.system.hierarchy.batch_deadline is None
+
+
+def test_run_rejects_bad_step_arguments(config):
+    kernel = Kernel(config)
+    process = kernel.create_process("p")
+    kernel.submit(process.spawn(simple_program("c", [Compute(10), Exit()]), affinity=0))
+    with pytest.raises(ValueError, match="stop_check_interval"):
+        kernel.run(stop_check_interval=0)
+    with pytest.raises(ValueError, match="max_steps"):
+        kernel.run(max_steps=-5)
+    # nothing ran: the task is still there for a valid run
+    assert kernel.run().steps == 2
+    assert kernel.all_done()
+
+
+def test_slices_cut_at_every_stop_check(config):
+    """stop_when sees the machine at exactly every interval-th step."""
+    kernel = Kernel(config)
+    process = kernel.create_process("p")
+
+    def forever():
+        while True:
+            yield Compute(1)
+
+    kernel.submit(process.spawn(Program("f", forever), affinity=0))
+    seen = []
+
+    def probe(k):
+        seen.append(k.instructions_executed())
+        return len(seen) == 4
+
+    summary = kernel.run(stop_when=probe, stop_check_interval=50)
+    assert seen == [0, 50, 100, 150]
+    assert summary.steps == 150
