@@ -1,15 +1,11 @@
 """DRAM backend model.
 
-A fixed-latency main memory with an optional open-row model: consecutive
-accesses to the same DRAM row are slightly faster.  The row model is off
-by default — the attacks and the TimeCache overhead shapes depend only on
-the DRAM latency being far above any cache-hit latency — but it is useful
-for making attacker latency histograms look realistic.
+A fixed-latency main memory.  The attacks and the TimeCache overhead
+shapes depend only on the DRAM latency being far above any cache-hit
+latency, so no row-buffer state is modeled.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.common.stats import StatGroup
 
@@ -17,41 +13,17 @@ from repro.common.stats import StatGroup
 class Dram:
     """Main memory: every access succeeds, at ``latency`` cycles."""
 
-    def __init__(
-        self,
-        latency: int,
-        row_bytes: int = 4096,
-        row_hit_discount: int = 0,
-        line_bytes: int = 64,
-    ) -> None:
+    def __init__(self, latency: int) -> None:
         if latency <= 0:
             raise ValueError(f"DRAM latency must be positive, got {latency}")
-        if row_hit_discount < 0 or row_hit_discount >= latency:
-            raise ValueError(
-                "row_hit_discount must be in [0, latency), got "
-                f"{row_hit_discount}"
-            )
         self.latency = latency
-        self.row_lines = max(1, row_bytes // line_bytes)
-        self.row_hit_discount = row_hit_discount
-        self._open_row: Optional[int] = None
         self.stats = StatGroup("DRAM")
         self.c_accesses = self.stats.bound_counter("accesses")
         self.c_writebacks = self.stats.bound_counter("writebacks")
-        #: with no discount the open-row state is unobservable, so the
-        #: access path can skip the row arithmetic entirely
-        self._fixed_latency = row_hit_discount == 0
 
     def access(self, line_addr: int) -> int:
         """Service a line fetch or writeback; returns the latency."""
         self.c_accesses.add()
-        if self._fixed_latency:
-            return self.latency
-        row = line_addr // self.row_lines
-        if row == self._open_row:
-            self.stats.counter("row_hits").add()
-            return self.latency - self.row_hit_discount
-        self._open_row = row
         return self.latency
 
     def writeback(self, line_addr: int) -> int:

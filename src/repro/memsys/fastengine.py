@@ -69,6 +69,7 @@ from repro.memsys.hierarchy import (
     BatchResult,
     KindsArg,
     MemoryHierarchy,
+    check_batch_args,
 )
 from repro.memsys.line import LineState
 
@@ -1154,52 +1155,26 @@ class FastHierarchy(MemoryHierarchy):
         advance: int = 1,
         nows=None,
     ) -> BatchResult:
-        """Vectorized run of same-context accesses.
+        """Vectorized run of same-context accesses, on one of two routes.
 
-        Classifies a window of accesses at once with numpy — set index
-        and tag extraction, tag match against the ``tags_np`` mirror,
-        s-bit presence against the packed per-way bitmasks — and, in the
-        common configuration, hands the window to the miss-resolution
-        kernels (:meth:`_access_batch_kernel`, docs/internals.md §15),
-        which retire hits, first-access misses, fills/evictions, and
-        stores without re-entering the scalar loop.  When a gated
-        feature is attached (cache event listeners, coherence sharers,
-        CAT partitions, open-row DRAM) the prefix-retire fallback below
-        runs instead: simple L1 hits retire as array operations and
-        every other event takes the scalar path, after which the next
-        window reclassifies against the updated state.  The window
-        grows while it keeps retiring whole windows and shrinks when
-        boundaries cut it short.
+        A batch the miss-resolution kernels can retire exactly goes to
+        :meth:`_access_batch_kernel` (docs/internals.md §15), which
+        classifies whole windows with numpy and retires hits, first-access
+        misses, fills/evictions, and stores without re-entering the scalar
+        loop.  Every other batch runs :meth:`MemoryHierarchy.access_batch`,
+        the scalar reference loop (see :meth:`_kernel_takes`).
 
         Semantics (results, counters, final s-bit/Tc/LRU state, clock)
-        are identical to :meth:`MemoryHierarchy.access_batch`'s scalar
-        loop, which the differential fuzz enforces.  With hierarchy
-        pre/post access listeners attached the scalar loop runs instead,
-        so observers see every access exactly as they would unbatched.
+        are identical to the reference loop's, which the differential fuzz
+        enforces, and both routes validate every argument before the
+        first access runs.
         """
         n = len(addrs)
-        if (
-            n < self._BATCH_MIN
-            or self.pre_access_listeners
-            or self.post_access_listeners
-            or (isinstance(kinds, AccessKind) and kinds is _STORE)
-        ):
-            # Listeners must observe every access in order; every store
-            # is a boundary, so an all-store batch has no vector work.
+        if not self._kernel_takes(ctx, n, kinds):
             return MemoryHierarchy.access_batch(
                 self, ctx, addrs, kinds, now=now, advance=advance, nows=nows
             )
-        if advance < 0:
-            raise SimulationError(f"advance cannot be negative: {advance}")
-        try:
-            if ctx < 0:
-                raise IndexError
-            l1i = self._l1i_of_ctx[ctx]
-            l1d = self._l1d_of_ctx[ctx]
-        except IndexError:
-            raise SimulationError(
-                f"hardware context {ctx} out of range"
-            ) from None
+        kinds, nows_np = check_batch_args(n, kinds, advance, nows)
         addrs_np = np.asarray(addrs, dtype=np.int64)
         lines = addrs_np >> self.line_shift
         if isinstance(kinds, AccessKind):
@@ -1207,15 +1182,10 @@ class FastHierarchy(MemoryHierarchy):
             kseq: Optional[List[AccessKind]] = None
             is_ifetch = is_store = None
             has_store = False
-            need_d = kinds is not _IFETCH
             need_i = kinds is _IFETCH
         else:
             uniform = None
-            kseq = list(kinds)
-            if len(kseq) != n:
-                raise SimulationError(
-                    f"kinds has {len(kseq)} entries for {n} addresses"
-                )
+            kseq = kinds
             is_ifetch = np.fromiter(
                 (k is _IFETCH for k in kseq), dtype=bool, count=n
             )
@@ -1223,240 +1193,50 @@ class FastHierarchy(MemoryHierarchy):
                 (k is _STORE for k in kseq), dtype=bool, count=n
             )
             has_store = bool(is_store.any())
-            need_d = True
             need_i = bool(is_ifetch.any())
-        nows_np = None
-        if nows is not None:
-            nows_np = np.asarray(nows, dtype=np.int64).reshape(-1)
-            if nows_np.size != n:
-                raise SimulationError(
-                    f"nows has {nows_np.size} entries for {n} addresses"
-                )
-            if n > 1 and bool(np.any(np.diff(nows_np) < 0)):
-                raise SimulationError("nows must be non-decreasing")
-        llc = self.llc
+        return self._access_batch_kernel(
+            ctx,
+            addrs_np,
+            lines,
+            uniform,
+            kseq,
+            is_ifetch,
+            is_store,
+            has_store,
+            need_i,
+            nows_np,
+            now,
+            advance,
+            self._l1d_of_ctx[ctx],
+            self._l1i_of_ctx[ctx],
+        )
+
+    def _kernel_takes(self, ctx: int, n: int, kinds: KindsArg) -> bool:
+        """Whether the kernels retire this batch; every other batch runs
+        the scalar reference loop.
+
+        Below ``_BATCH_MIN`` accesses the numpy fixed costs beat the win;
+        every store is a boundary, so an all-store batch has no vector
+        work; hierarchy pre/post access listeners must observe every
+        access in order; an out-of-range ``ctx`` raises on the loop's
+        first access.  The remaining gates are features the kernels do
+        not model: cache event listeners need a callback per event,
+        ``max_sharers`` rewrites s-bit sets on install, and CAT
+        partitions constrain victim ways.
+        """
         if (
-            l1d.event_listener is None
-            and l1i.event_listener is None
-            and llc.event_listener is None
-            and l1d.max_sharers == 0
-            and l1i.max_sharers == 0
-            and llc.max_sharers == 0
-            and self.dram._fixed_latency
-            and self._llc_allowed_ways(ctx) is None
+            n < self._BATCH_MIN
+            or kinds is _STORE
+            or self.pre_access_listeners
+            or self.post_access_listeners
+            or not 0 <= ctx < len(self._l1d_of_ctx)
         ):
-            # The vectorized miss-resolution kernels retire fills,
-            # evictions, stores, and first-access misses in-window.  The
-            # gated features stay on the scalar-fallback loop below:
-            # listeners need a callback per event, max_sharers rewrites
-            # s-bit sets on install, CAT partitions constrain victim
-            # ways, and open-row DRAM keeps hidden per-access state.
-            return self._access_batch_kernel(
-                ctx,
-                addrs_np,
-                lines,
-                uniform,
-                kseq,
-                is_ifetch,
-                is_store,
-                has_store,
-                need_i,
-                nows_np,
-                now,
-                advance,
-                l1d,
-                l1i,
-            )
-        tc_enabled = self._tc_enabled
-        clock = self.clock
-        d_mask, d_ways, d_bit = l1d._set_mask, l1d.ways, l1d._ctx_bit_of[ctx]
-        i_mask, i_ways, i_bit = l1i._set_mask, l1i.ways, l1i._ctx_bit_of[ctx]
-        d_last, i_last = l1d._last_used, l1i._last_used
-        d_hit = self._intern_result(l1d.hit_latency, "L1")
-        i_hit = self._intern_result(l1i.hit_latency, "L1")
-        # L1I and L1D share one hit latency by construction (both are
-        # built with latency.l1_hit), so one stride covers mixed windows.
-        step = advance + l1d.hit_latency
-        scalar_access = self.access
-        results: List[AccessResult] = []
-        extend = results.extend
-        # Per-context match arrays: a slot matches a line iff its tag
-        # equals the line AND (defense off, or the context's s-bit is
-        # set) — the whole simple-hit test as one gathered comparison
-        # against a sentinel-filled copy.  Vectorized hits never change
-        # tags or s-bits, so the copies only go stale across scalar
-        # stretches (``stale`` below).  With the defense off the live tag
-        # mirrors serve directly and never go stale (in-place updates).
-        if tc_enabled:
-            d_etag = i_etag = None
-            stale = True
-        else:
-            d_etag = l1d.tags_np
-            i_etag = l1i.tags_np
-            stale = False
-        window = min(256, self._BATCH_WINDOW_MAX)
-        scalar_run = self._BATCH_SCALAR_RUN
-        cursor = now
-        i = 0
-        check_deadline = self._check_batch_deadline
-        # On this prefix-retire path the phase profiler attributes the
-        # vectorized classify + prefix retirement to ``classify`` and the
-        # scalar runs to ``fallback`` — there is no plan/rehearse/apply
-        # machinery here to break down further.
-        prof = self.kernel_profiler
-        while i < n:
-            # Cooperative watchdog seam: one kernel step can be a whole
-            # batched run, so the budget is re-checked between adaptive
-            # windows (≤ _BATCH_WINDOW_MAX accesses apart), never
-            # mid-window — state stays consistent at the raise point.
-            check_deadline(i, n)
-            if prof is not None:
-                _t0 = perf_counter_ns()
-            if stale:
-                if need_d:
-                    d_etag = np.where(
-                        (l1d.sbits & d_bit) != 0, l1d.tags_np, -2
-                    )
-                if need_i:
-                    i_etag = np.where(
-                        (l1i.sbits & i_bit) != 0, l1i.tags_np, -2
-                    )
-                stale = False
-            j = min(i + window, n)
-            m = j - i
-            sl = lines[i:j]
-            col = sl[:, None]
-            if uniform is not None:
-                if uniform is _IFETCH:
-                    set_i = sl & i_mask
-                    eq_i = i_etag[set_i] == col
-                    simple = eq_i.any(axis=1)
-                else:
-                    set_d = sl & d_mask
-                    eq_d = d_etag[set_d] == col
-                    simple = eq_d.any(axis=1)
-                any_if = uniform is _IFETCH
-            else:
-                sif = is_ifetch[i:j]
-                any_if = bool(sif.any())
-                set_d = sl & d_mask
-                eq_d = d_etag[set_d] == col
-                hit_d = eq_d.any(axis=1)
-                if any_if:
-                    set_i = sl & i_mask
-                    eq_i = i_etag[set_i] == col
-                    hit_i = eq_i.any(axis=1)
-                    simple = np.where(sif, hit_i, hit_d)
-                else:
-                    simple = hit_d
-                if has_store:
-                    simple = simple & ~is_store[i:j]
-            k = m if simple.all() else int(np.argmax(~simple))
-            if k:
-                # Issue times of the prefix.  Within it no fill, evict,
-                # or s-bit change can occur, so only each slot's LAST
-                # touch survives — dict(zip(...)) dedupes slots with the
-                # scalar path's last-write-wins order.
-                if nows_np is not None:
-                    ts_list = nows_np[i : i + k].tolist()
-                    t_last = ts_list[-1]
-                else:
-                    ts_list = None
-                    t_last = cursor + step * (k - 1)
-                if uniform is not None:
-                    if uniform is _IFETCH:
-                        slots = set_i[:k] * i_ways + eq_i[:k].argmax(axis=1)
-                        last = i_last
-                        l1i.n_hits += k
-                        extend([i_hit] * k)
-                    else:
-                        slots = set_d[:k] * d_ways + eq_d[:k].argmax(axis=1)
-                        last = d_last
-                        l1d.n_hits += k
-                        extend([d_hit] * k)
-                    if ts_list is not None:
-                        for slot, t in zip(slots.tolist(), ts_list):
-                            last[slot] = t
-                    else:
-                        for slot, p in dict(
-                            zip(slots.tolist(), range(k))
-                        ).items():
-                            last[slot] = cursor + step * p
-                else:
-                    if ts_list is None:
-                        ts_list = (
-                            cursor + step * np.arange(k, dtype=np.int64)
-                        ).tolist()
-                    pif = sif[:k]
-                    ni = int(np.count_nonzero(pif)) if any_if else 0
-                    if ni == 0:
-                        idx_d = set_d[:k] * d_ways + eq_d[:k].argmax(axis=1)
-                        for slot, t in zip(idx_d.tolist(), ts_list):
-                            d_last[slot] = t
-                        l1d.n_hits += k
-                        extend([d_hit] * k)
-                    elif ni == k:
-                        idx_i = set_i[:k] * i_ways + eq_i[:k].argmax(axis=1)
-                        for slot, t in zip(idx_i.tolist(), ts_list):
-                            i_last[slot] = t
-                        l1i.n_hits += k
-                        extend([i_hit] * k)
-                    else:
-                        idx_d = set_d[:k] * d_ways + eq_d[:k].argmax(axis=1)
-                        idx_i = set_i[:k] * i_ways + eq_i[:k].argmax(axis=1)
-                        dl, il = idx_d.tolist(), idx_i.tolist()
-                        flags = pif.tolist()
-                        for p in range(k):
-                            if flags[p]:
-                                i_last[il[p]] = ts_list[p]
-                            else:
-                                d_last[dl[p]] = ts_list[p]
-                        l1i.n_hits += ni
-                        l1d.n_hits += k - ni
-                        extend(i_hit if f else d_hit for f in flags)
-                if t_last > clock._now:
-                    clock._now = t_last
-                if nows_np is None:
-                    cursor = t_last + step
-                i += k
-            if prof is not None:
-                _t1 = perf_counter_ns()
-                prof.classify_ns += _t1 - _t0
-                prof.windows += 1
-                prof.batch_accesses += k
-                _t0 = _t1
-            if k == m:
-                if window < self._BATCH_WINDOW_MAX:
-                    window <<= 1
-                continue
-            if k < (m >> 1) and window > self._BATCH_WINDOW_MIN:
-                window >>= 1
-            stop = min(i + scalar_run, n)
-            _ib = i
-            if nows_np is not None:
-                while i < stop:
-                    kind = uniform if kseq is None else kseq[i]
-                    results.append(
-                        scalar_access(
-                            ctx, int(addrs_np[i]), kind, int(nows_np[i])
-                        )
-                    )
-                    i += 1
-            else:
-                while i < stop:
-                    kind = uniform if kseq is None else kseq[i]
-                    result = scalar_access(ctx, int(addrs_np[i]), kind, cursor)
-                    results.append(result)
-                    cursor += advance + result.latency
-                    i += 1
-            if prof is not None:
-                prof.fallback_ns += perf_counter_ns() - _t0
-                prof.cuts += 1
-                prof.scalar_accesses += i - _ib
-            if tc_enabled:
-                stale = True
-        final_now = int(nows_np[n - 1]) if nows_np is not None else cursor
-        return BatchResult(results, final_now)
+            return False
+        caches = (self._l1d_of_ctx[ctx], self._l1i_of_ctx[ctx], self.llc)
+        return (
+            all(c.event_listener is None and c.max_sharers == 0 for c in caches)
+            and self._llc_allowed_ways(ctx) is None
+        )
 
     def _access_batch_kernel(
         self,

@@ -35,6 +35,8 @@ from typing import (
     Union,
 )
 
+import numpy as np
+
 from repro.common.clock import GlobalClock
 from repro.common.config import HierarchyConfig, TimeCacheConfig
 from repro.common.errors import SimulationError, SimulationTimeout
@@ -86,16 +88,43 @@ class BatchResult(NamedTuple):
 KindsArg = Union[AccessKind, Sequence[AccessKind]]
 
 
-def _kind_sequence(kinds: KindsArg, n: int) -> List[AccessKind]:
-    """Normalize the ``kinds`` argument to one AccessKind per address."""
-    if isinstance(kinds, AccessKind):
-        return [kinds] * n
-    seq = list(kinds)
-    if len(seq) != n:
+def check_batch_args(
+    n: int,
+    kinds: KindsArg,
+    advance: int,
+    nows: Optional[Sequence[int]],
+) -> Tuple[KindsArg, Optional[np.ndarray]]:
+    """Validate the arguments of an ``access_batch`` call of ``n``
+    accesses before any of them runs, so a rejected batch leaves no
+    trace on either engine.
+
+    Returns ``kinds`` as a single AccessKind or a list of ``n``, and
+    ``nows`` as ``None`` or a one-dimensional int64 array.
+    """
+    if advance < 0:
+        raise SimulationError(f"advance cannot be negative: {advance}")
+    if not isinstance(kinds, AccessKind):
+        kinds = list(kinds)
+        if len(kinds) != n:
+            raise SimulationError(
+                f"kinds has {len(kinds)} entries for {n} addresses"
+            )
+    if nows is None:
+        return kinds, None
+    times = np.asarray(nows, dtype=np.int64)
+    if times.ndim != 1:
         raise SimulationError(
-            f"kinds has {len(seq)} entries for {n} addresses"
+            f"nows must be one-dimensional, got shape {times.shape}"
         )
-    return seq
+    if times.size != n:
+        raise SimulationError(f"nows has {times.size} entries for {n} addresses")
+    back = np.flatnonzero(np.diff(times) < 0)
+    if back.size:
+        k = int(back[0])
+        raise SimulationError(
+            f"nows must be non-decreasing ({times[k + 1]} after {times[k]})"
+        )
+    return kinds, times
 
 
 class MemoryHierarchy:
@@ -155,7 +184,7 @@ class MemoryHierarchy:
             rng.fork("llc"),
             max_sharers=self.tc_config.max_sharers,
         )
-        self.dram = Dram(lat.dram, line_bytes=config.line_bytes)
+        self.dram = Dram(lat.dram)
         self.directory = Directory()
         self.stats = StatGroup("hierarchy")
         self.c_accesses = self.stats.bound_counter("accesses")
@@ -389,15 +418,18 @@ class MemoryHierarchy:
         is then the last issue time.  ``kinds`` is either a single
         :class:`AccessKind` applied to the whole run or one per address.
 
-        The fast engine overrides this with a vectorized implementation
-        that the differential fuzz checks against this loop.
+        Every argument is validated before the first access runs, so a
+        rejected batch changes no state.  The fast engine overrides this
+        with its vectorized kernels, which the differential fuzz checks
+        against this loop, and sends every batch they cannot retire here.
         """
+        kinds, times = check_batch_args(len(addrs), kinds, advance, nows)
         prof = self.kernel_profiler
         if prof is None:
-            return self._access_batch_scalar(ctx, addrs, kinds, now, advance, nows)
+            return self._access_batch_scalar(ctx, addrs, kinds, now, advance, times)
         t0 = perf_counter_ns()
         try:
-            return self._access_batch_scalar(ctx, addrs, kinds, now, advance, nows)
+            return self._access_batch_scalar(ctx, addrs, kinds, now, advance, times)
         finally:
             # On this path everything is scalar work — which, for the
             # object engine, *is* the phase breakdown: 100% fallback.
@@ -411,32 +443,20 @@ class MemoryHierarchy:
         kinds: KindsArg,
         now: int,
         advance: int,
-        nows: Optional[Sequence[int]],
+        times: Optional[np.ndarray],
     ) -> BatchResult:
         n = len(addrs)
-        kseq = _kind_sequence(kinds, n)
-        if advance < 0:
-            raise SimulationError(f"advance cannot be negative: {advance}")
+        kseq = [kinds] * n if isinstance(kinds, AccessKind) else kinds
         results: List[AccessResult] = []
         append = results.append
         access = self.access
-        if nows is not None:
-            if len(nows) != n:
-                raise SimulationError(
-                    f"nows has {len(nows)} entries for {n} addresses"
-                )
-            prev: Optional[int] = None
-            for idx, (addr, kind, when) in enumerate(zip(addrs, kseq, nows)):
+        if times is not None:
+            issue = times.tolist()
+            for idx, (addr, kind, when) in enumerate(zip(addrs, kseq, issue)):
                 if idx % self._DEADLINE_CHECK_EVERY == 0:
                     self._check_batch_deadline(idx, n)
-                when = int(when)
-                if prev is not None and when < prev:
-                    raise SimulationError(
-                        f"nows must be non-decreasing ({when} after {prev})"
-                    )
-                prev = when
                 append(access(ctx, int(addr), kind, when))
-            return BatchResult(results, now if prev is None else prev)
+            return BatchResult(results, issue[-1] if issue else now)
         cursor = now
         for idx, (addr, kind) in enumerate(zip(addrs, kseq)):
             if idx % self._DEADLINE_CHECK_EVERY == 0:

@@ -3,7 +3,8 @@
 The differential fuzz in ``test_engine_equivalence.py`` covers random
 traces; here we pin down the *deliberately awkward* cases — partial
 batches that straddle flushes, capacity evictions, and context switches —
-plus the argument-validation contract, on both engines.
+plus the argument-validation contract, on both engines, and the fast
+engine's choice between its kernels and the scalar reference loop.
 """
 
 import pytest
@@ -174,20 +175,28 @@ def test_advance_zero_charges_latency_only(engine):
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
 def test_batch_argument_validation(engine):
-    """Bad arguments raise SimulationError on both engines — including
-    batches large enough to take the fast engine's vectorized path."""
-    system = TimeCacheSystem(_config(engine))
-    many = [i * LINE for i in range(64)]
-    with pytest.raises(SimulationError, match="advance"):
-        system.access_batch(0, many, LOAD, advance=-1)
-    with pytest.raises(SimulationError):
-        system.access_batch(0, many, [LOAD, STORE])  # wrong kinds length
-    with pytest.raises(SimulationError, match="non-decreasing"):
-        system.access_batch(0, many, LOAD, nows=list(range(63, -1, -1)))
-    with pytest.raises(SimulationError):
-        system.access_batch(0, many, LOAD, nows=[0, 1, 2])  # wrong length
-    with pytest.raises(SimulationError, match="out of range"):
-        system.access_batch(99, many, LOAD)
+    """Bad arguments raise SimulationError on both engines before any
+    access runs: a rejected batch leaves stats and clock untouched, both
+    below the fast engine's vectorization threshold (8 accesses, the
+    reference loop) and above it (64, the kernel route)."""
+    for n in (8, 64):
+        system = TimeCacheSystem(_config(engine))
+        many = [i * LINE for i in range(n)]
+        stats = system.stats_snapshot()
+        now = system.clock.now
+
+        def rejected(match, ctx=0, kinds=LOAD, **kwargs):
+            with pytest.raises(SimulationError, match=match):
+                system.access_batch(ctx, many, kinds, **kwargs)
+            assert system.stats_snapshot() == stats, (n, match)
+            assert system.clock.now == now, (n, match)
+
+        rejected("advance", advance=-1)
+        rejected("kinds has", kinds=[LOAD, STORE])
+        rejected("non-decreasing", nows=list(range(n - 1, -1, -1)))
+        rejected("nows has", nows=[0, 1, 2])
+        rejected("one-dimensional", nows=[[t] for t in range(n)])
+        rejected("out of range", ctx=99)
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])
@@ -224,6 +233,54 @@ def test_fast_and_object_batches_agree_with_listeners():
     assert seen["object"] == seen["fast"]
     assert _observe(outs["object"].results) == _observe(outs["fast"].results)
     assert outs["object"].now == outs["fast"].now
+
+
+#: features the batched kernels do not model -> how a test turns one on
+GATED = {
+    "max_sharers": lambda cfg: cfg.with_timecache(max_sharers=1),
+    "cat_partition": lambda cfg: cfg.with_partitioning(2),
+    "cache_listeners": lambda cfg: cfg,  # an InvariantChecker, below
+}
+
+
+def _profiled_batch(engine, gate=None):
+    from repro.obs.spans import PhaseAccumulator
+    from repro.robustness.invariants import InvariantChecker
+
+    addrs = [(i * 11 % 90) * LINE for i in range(128)]
+    kinds = [LOAD if i % 5 else IFETCH for i in range(128)]
+    cfg = _config(engine)
+    if gate is not None:
+        cfg = GATED[gate](cfg)
+    system = TimeCacheSystem(cfg)
+    if gate == "cache_listeners":
+        InvariantChecker(system, check_on_access=False).attach()
+    prof = system.hierarchy.kernel_profiler = PhaseAccumulator()
+    out = system.access_batch(0, addrs, kinds, now=0, advance=1)
+    observed = (
+        _observe(out.results),
+        out.now,
+        system.stats_snapshot(),
+        _snapshot(system),
+    )
+    return prof, observed, len(addrs)
+
+
+@pytest.mark.parametrize("gate", sorted(GATED))
+def test_gated_batch_runs_the_reference_loop(gate):
+    """A batch under a feature the kernels do not model runs the scalar
+    reference loop whole — no kernel window, every access scalar — and
+    matches the object engine exactly."""
+    prof, fast, n = _profiled_batch("fast", gate)
+    assert prof.windows == prof.batch_accesses == 0
+    assert prof.scalar_accesses == n
+    assert fast == _profiled_batch("object", gate)[1]
+
+
+def test_default_batch_takes_the_kernel():
+    prof, fast, _ = _profiled_batch("fast")
+    assert prof.windows > 0
+    assert fast == _profiled_batch("object")[1]
 
 
 @pytest.mark.parametrize("engine", ["object", "fast"])

@@ -5,11 +5,11 @@ asserts that every ``AccessResult`` (latency, level, first_access), every
 context-switch cost, the full stats snapshot, and the final architectural
 state (s-bits, Tc, valid bits, resident tags per cache) agree exactly.
 
-Ten scenarios x twenty seeds = 200 random traces, covering the defense on
-and off, context switches, multi-core stores and coherence, SMT sibling
+Eleven scenarios x twenty seeds = 220 random traces, covering the defense
+on and off, context switches, multi-core stores and coherence, SMT sibling
 contexts, FTM comparison mode, prefetch, the fifo/random replacement
 policies, limited-pointer sharer eviction, the DRAM-latency-on-first-access
-hardening, and narrow-timestamp rollover.
+hardening, narrow-timestamp rollover, and CAT way partitioning.
 """
 
 import dataclasses
@@ -103,6 +103,7 @@ SCENARIOS = {
         1,
         True,
     ),
+    "cat_partition": (lambda e, s: _base(e, s).with_partitioning(2), 1, True),
 }
 
 
