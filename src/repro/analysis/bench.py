@@ -302,7 +302,10 @@ def bench_hierarchy_access_batched(
 
 
 def bench_hierarchy_access_traced(
-    quick: bool = False, engine: str = "object"
+    quick: bool = False,
+    engine: str = "object",
+    accesses: Optional[int] = None,
+    repeats: Optional[int] = None,
 ) -> BenchResult:
     """Tracing overhead on the raw-access hot path.
 
@@ -312,9 +315,11 @@ def bench_hierarchy_access_traced(
     *enabled* tracer streaming JSONL to a temp file.  Repeats are
     interleaved across the arms so clock drift and thermal noise hit
     all three equally.  ``runs`` (the baseline-gated number) times the
-    disabled arm; ``extra`` records the three medians plus min-based
+    disabled arm; ``extra`` records the three medians plus round-paired
     overhead ratios — ``overhead_disabled`` is locked under 5% by
-    ``tests/obs/test_bench_traced.py``.
+    ``tests/obs/test_bench_traced.py``.  ``accesses`` (per round) and
+    ``repeats`` (rounds) override the quick/full sizes: the overhead
+    estimate resolves best from many short rounds.
     """
     import dataclasses
     import tempfile
@@ -326,7 +331,8 @@ def bench_hierarchy_access_traced(
     from repro.obs.tracer import Tracer
     from repro.robustness.campaign import campaign_config
 
-    accesses = 20_000 if quick else 100_000
+    if accesses is None:
+        accesses = 20_000 if quick else 100_000
     config = campaign_config(seed=7)
     if engine != config.hierarchy.engine:
         config = dataclasses.replace(
@@ -353,7 +359,8 @@ def bench_hierarchy_access_traced(
 
         return drive
 
-    repeats = 3 if quick else 5
+    if repeats is None:
+        repeats = 3 if quick else 5
     with tempfile.TemporaryDirectory() as tmp:
         sink = JsonlSink(Path(tmp) / "bench_trace.jsonl")
         enabled_tracer = Tracer(sink)
@@ -364,8 +371,10 @@ def bench_hierarchy_access_traced(
         ]
         for _, drive, _runs in arms:  # warm-up: fills + first misses
             drive()
-        for _ in range(repeats):
-            for _, drive, runs in arms:
+        for round_ in range(repeats):
+            # rotate the order so no arm always runs after the enabled one
+            shift = round_ % len(arms)
+            for _, drive, runs in arms[shift:] + arms[:shift]:
                 start = time.perf_counter()
                 drive()
                 runs.append(time.perf_counter() - start)
@@ -380,13 +389,21 @@ def bench_hierarchy_access_traced(
             "plain_median_s": statistics.median(plain_runs),
             "disabled_median_s": statistics.median(disabled_runs),
             "enabled_median_s": statistics.median(enabled_runs),
-            # min-over-min is the noise-robust overhead estimator: the
-            # fastest observed run is the one least disturbed by the OS
-            "overhead_disabled": min(disabled_runs) / min(plain_runs) - 1.0,
-            "overhead_enabled": min(enabled_runs) / min(plain_runs) - 1.0,
+            # Round i of every arm simulates the same accesses from the
+            # same cache state, but successive rounds do not (the state
+            # carries over and run times drift with it), so the overhead
+            # is the median of the per-round ratios, not a ratio of
+            # minima taken from different rounds.
+            "overhead_disabled": _paired_overhead(disabled_runs, plain_runs),
+            "overhead_enabled": _paired_overhead(enabled_runs, plain_runs),
             "events": events,
         },
     )
+
+
+def _paired_overhead(runs: List[float], reference: List[float]) -> float:
+    """Median over rounds of ``runs[i] / reference[i]``, minus one."""
+    return statistics.median(r / ref for r, ref in zip(runs, reference)) - 1.0
 
 
 def _kernel_bench_setup(engine: str, l1_kib: int = 4, llc_kib: int = 128):

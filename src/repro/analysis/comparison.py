@@ -12,11 +12,12 @@ work, and what does the defense cost?
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, Hashable, List, Optional
 
 from repro.analysis.experiment import SingleRun, _collect_run
 from repro.attacks.flush_reload import run_microbenchmark_attack
 from repro.common.config import SimConfig
+from repro.cpu.program import TraceProgram, shared_programs
 from repro.os.kernel import Kernel
 from repro.workloads.spec import build_spec_pair
 
@@ -69,9 +70,18 @@ class DefenseComparison:
         return "\n".join(lines)
 
 
-def _run_workload(config: SimConfig, bench_a, bench_b, instructions, seed):
+def _run_workload(
+    config: SimConfig,
+    bench_a,
+    bench_b,
+    instructions,
+    seed,
+    programs: Optional[Dict[Hashable, TraceProgram]] = None,
+):
     kernel = Kernel(config)
-    build_spec_pair(kernel, bench_a, bench_b, instructions, seed=seed)
+    build_spec_pair(
+        kernel, bench_a, bench_b, instructions, seed=seed, programs=programs
+    )
     summary = kernel.run()
     return _collect_run(kernel, summary)
 
@@ -87,7 +97,8 @@ def compare_defenses(
     """Run baseline / TimeCache / partitioning over the same pair.
 
     ``config`` should be a TimeCache-enabled configuration; the other two
-    are derived from it so geometry and workloads match exactly.
+    are derived from it so geometry and workloads match exactly, and all
+    three replay the op streams the first one draws.
     """
     configs: List = [
         ("baseline", config.baseline()),
@@ -95,17 +106,18 @@ def compare_defenses(
         ("partition", config.with_partitioning(domains=partition_domains)),
     ]
     reports: Dict[str, DefenseReport] = {}
-    for name, cfg in configs:
-        run = _run_workload(cfg, bench_a, bench_b, instructions, seed)
-        attack = run_microbenchmark_attack(
-            cfg, shared_lines=64, sleep_cycles=50_000
-        )
-        reports[name] = DefenseReport(
-            name=name,
-            run=run,
-            attack_hits=attack.probe_hits,
-            attack_probes=attack.probe_total,
-        )
+    with shared_programs() as programs:
+        for name, cfg in configs:
+            run = _run_workload(cfg, bench_a, bench_b, instructions, seed, programs)
+            attack = run_microbenchmark_attack(
+                cfg, shared_lines=64, sleep_cycles=50_000
+            )
+            reports[name] = DefenseReport(
+                name=name,
+                run=run,
+                attack_hits=attack.probe_hits,
+                attack_probes=attack.probe_total,
+            )
     from repro.workloads.mixes import pair_label
 
     return DefenseComparison(pair_label(bench_a, bench_b), reports)

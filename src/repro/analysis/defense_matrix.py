@@ -35,6 +35,7 @@ from repro.analysis.bench import machine_metadata
 from repro.analysis.parallel import SweepJob
 from repro.analysis.tournament import ATTACKS, ENGINES, tournament_jobs
 from repro.common.config import scaled_experiment_config
+from repro.cpu.program import shared_programs
 from repro.defenses import defense_names, get_defense, is_control_defense
 from repro.robustness import safeio
 from repro.robustness.resilience import Checkpoint, SweepOutcome
@@ -77,7 +78,8 @@ def run_overhead_cell(
 
     Runs the same SPEC pair under ``defense`` and under the registered
     control, on identical geometry, and reports the simulated slowdown
-    (deterministic) plus this run's wall throughput (weather).
+    (deterministic) plus this run's wall throughput (weather).  The
+    defense run draws the op streams; the control run replays them.
     """
     from repro.analysis.comparison import _run_workload
 
@@ -93,18 +95,25 @@ def run_overhead_cell(
         get_defense(name).check_engine(config)
         return config
 
-    start = time.perf_counter()
-    run = _run_workload(
-        build(defense), OVERHEAD_BENCH, OVERHEAD_BENCH, instructions, seed
-    )
-    wall_s = time.perf_counter() - start
-    control = _run_workload(
-        build(_control_defense_name()),
-        OVERHEAD_BENCH,
-        OVERHEAD_BENCH,
-        instructions,
-        seed,
-    )
+    with shared_programs() as programs:
+        start = time.perf_counter()
+        run = _run_workload(
+            build(defense),
+            OVERHEAD_BENCH,
+            OVERHEAD_BENCH,
+            instructions,
+            seed,
+            programs,
+        )
+        wall_s = time.perf_counter() - start
+        control = _run_workload(
+            build(_control_defense_name()),
+            OVERHEAD_BENCH,
+            OVERHEAD_BENCH,
+            instructions,
+            seed,
+            programs,
+        )
     slowdown = (
         run.cycles / control.cycles if control.cycles else 1.0
     )

@@ -16,6 +16,7 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.common.config import SimConfig
 from repro.common.units import mpki
+from repro.cpu.program import shared_programs
 from repro.os.kernel import Kernel, RunSummary
 from repro.workloads.parsec import build_parsec_workload
 from repro.workloads.spec import build_spec_pair
@@ -162,16 +163,21 @@ def run_spec_pair_experiment(
     """One Table II SPEC row: the pair under baseline and TimeCache.
 
     Both configurations replay the identical deterministic instruction
-    streams (same seed), so the cycle ratio isolates the defense's cost.
-    ``budget`` arms the simulation watchdog for both runs.
+    streams (same seed), so the cycle ratio isolates the defense's cost:
+    the baseline run draws each process's stream and the TimeCache run
+    replays it.  ``budget`` arms the simulation watchdog for both runs.
     """
     from repro.workloads.mixes import pair_label
 
-    def build(kernel: Kernel) -> None:
-        build_spec_pair(kernel, bench_a, bench_b, instructions, seed=seed)
+    with shared_programs() as programs:
 
-    base = _run_configured(config.baseline(), build, budget)
-    defended = _run_configured(config, build, budget)
+        def build(kernel: Kernel) -> None:
+            build_spec_pair(
+                kernel, bench_a, bench_b, instructions, seed=seed, programs=programs
+            )
+
+        base = _run_configured(config.baseline(), build, budget)
+        defended = _run_configured(config, build, budget)
     return ExperimentResult(pair_label(bench_a, bench_b), base, defended)
 
 
@@ -182,13 +188,17 @@ def run_parsec_experiment(
     seed: int = 0xFACE,
     budget: Optional[SimulationBudget] = None,
 ) -> ExperimentResult:
-    """One Table II PARSEC row: 2 threads on 2 cores, both configurations."""
+    """One Table II PARSEC row: 2 threads on 2 cores, both configurations
+    replaying the same two thread streams."""
+    with shared_programs() as programs:
 
-    def build(kernel: Kernel) -> None:
-        build_parsec_workload(kernel, bench, instructions_per_thread, seed=seed)
+        def build(kernel: Kernel) -> None:
+            build_parsec_workload(
+                kernel, bench, instructions_per_thread, seed=seed, programs=programs
+            )
 
-    base = _run_configured(config.baseline(), build, budget)
-    defended = _run_configured(config, build, budget)
+        base = _run_configured(config.baseline(), build, budget)
+        defended = _run_configured(config, build, budget)
     return ExperimentResult(bench, base, defended)
 
 

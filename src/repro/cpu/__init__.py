@@ -24,7 +24,12 @@ from repro.cpu.isa import (
     Store,
     YieldOp,
 )
-from repro.cpu.program import Program, trace_program
+from repro.cpu.program import (
+    Program,
+    TraceProgram,
+    shared_programs,
+    trace_program,
+)
 
 __all__ = [
     "AccessRun",
@@ -42,6 +47,8 @@ __all__ = [
     "StepEvent",
     "StepOutcome",
     "Store",
+    "TraceProgram",
     "YieldOp",
+    "shared_programs",
     "trace_program",
 ]

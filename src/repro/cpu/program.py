@@ -3,14 +3,28 @@
 A *program* is a zero-argument callable returning a generator that yields
 :mod:`repro.cpu.isa` operations and receives each operation's result via
 ``send``.  :class:`Program` names the callable; :func:`trace_program`
-turns a pre-computed operation list (a trace) into a program, which is
-how the workload generators feed the CPU.
+turns an operation sequence (a trace) into a program that draws it once
+and replays it on every start, which is how the workload generators feed
+the CPU.  :func:`shared_programs` lets the configurations of one
+experiment replay the same drawn streams.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Generator, Iterable, List, Optional
+import gc
+from contextlib import contextmanager
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+)
 
+from repro.common.errors import ProgramError
 from repro.cpu.isa import Op
 
 #: what the CPU sends back into the generator after each op
@@ -32,19 +46,76 @@ class Program:
         return f"Program({self.name!r})"
 
 
-def trace_program(name: str, ops: Iterable[Op]) -> Program:
-    """A program that replays a fixed operation sequence.
+class TraceProgram(Program):
+    """A program that replays one fixed operation sequence.
 
-    The ops are materialized once so the program can be restarted (e.g. a
-    baseline run and a TimeCache run over the identical trace).
+    ``ops`` is drawn into a list on the first :meth:`start`, not at
+    creation, so building a process costs nothing until it runs; every
+    start replays that list (e.g. a baseline run and a TimeCache run
+    over the identical trace).  :meth:`release` drops the list.
     """
-    materialized: List[Op] = list(ops)
 
-    def factory() -> ProgramGen:
-        for op in materialized:
-            yield op
+    def __init__(self, name: str, ops: Iterable[Op]) -> None:
+        self.name = name
+        self._source: Optional[Iterable[Op]] = ops
+        self._ops: Optional[List[Op]] = None
 
-    return Program(name, factory)
+    def start(self) -> ProgramGen:
+        ops = self._ops
+        if ops is None:
+            # Take the source first: a draw that raises must not leave a
+            # half-consumed generator for the next start to replay.
+            source, self._source = self._source, None
+            if source is None:
+                raise ProgramError(
+                    f"program {self.name!r} has no stream: it was released "
+                    "or its first draw failed"
+                )
+            ops = self._ops = list(source)
+        return _replay(ops)
+
+    def release(self) -> None:
+        """Free the recorded ops; a later :meth:`start` raises.
+
+        The list is emptied in place, so a generator or a finished
+        kernel still holding it keeps no ops alive either.
+        """
+        if self._ops is not None:
+            self._ops.clear()
+        self._ops = None
+        self._source = None
+
+
+def _replay(ops: List[Op]) -> ProgramGen:
+    for op in ops:
+        yield op
+
+
+def trace_program(name: str, ops: Iterable[Op]) -> TraceProgram:
+    """A program that replays ``ops``, drawn once on its first start."""
+    return TraceProgram(name, ops)
+
+
+@contextmanager
+def shared_programs() -> Iterator[Dict[Hashable, TraceProgram]]:
+    """A program table the configurations of one experiment share.
+
+    A workload builder given the table reuses the program it already
+    holds for a process instead of making a new one, so every
+    configuration replays the stream the first one drew.  On exit every
+    program is released, and the cycle collector runs once: the kernels
+    that ran the programs are reference cycles holding their caches'
+    arrays, and left to the collector's own schedule they pile up across
+    experiments (peak RSS then climbs pass over pass).
+    """
+    programs: Dict[Hashable, TraceProgram] = {}
+    try:
+        yield programs
+    finally:
+        for program in programs.values():
+            program.release()
+        programs.clear()
+        gc.collect()
 
 
 def looping_program(

@@ -47,7 +47,7 @@ from repro.cpu.isa import (
     Store,
     YieldOp,
 )
-from repro.cpu.program import Program, ProgramGen
+from repro.cpu.program import Program, trace_program
 from repro.memsys.hierarchy import AccessKind, AccessResult
 
 _KIND_OF_CODE = {
@@ -167,14 +167,9 @@ def load_trace(path: Union[str, Path]) -> List[Op]:
 
 
 def trace_file_program(name: str, path: Union[str, Path]) -> Program:
-    """A restartable program replaying a trace file."""
-    ops = load_trace(path)
-
-    def factory() -> ProgramGen:
-        for op in ops:
-            yield op
-
-    return Program(name, factory)
+    """A restartable program replaying a trace file, parsed here so a
+    malformed line fails now rather than at the first start."""
+    return trace_program(name, load_trace(path))
 
 
 def iter_trace_ops(lines: Iterable[str]) -> Iterator[Op]:

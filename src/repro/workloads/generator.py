@@ -2,23 +2,27 @@
 
 :class:`WorkloadBuilder` lays out a process's address space (private
 data, private or shared benchmark text, shared libc, shared kernel text)
-on a :class:`~repro.os.kernel.Kernel` and produces a lazy generator
-program that emits the profile's instruction/memory mix until a target
-instruction count is reached.
+on a :class:`~repro.os.kernel.Kernel` and produces a trace program
+that emits the profile's instruction/memory mix until a target
+instruction count is reached.  The program draws its stream on its first
+start and replays it on every later one.
 
 Everything is deterministic given the seed, so a baseline run and a
 TimeCache run of the same experiment execute the *identical* operation
 stream — the normalized-execution-time comparisons of Figures 7/9/10
-compare cycles over fixed work.
+compare cycles over fixed work.  An experiment that hands its builders
+one :func:`~repro.cpu.program.shared_programs` table draws each stream
+once and replays it in every configuration.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from itertools import chain
+from typing import Callable, Dict, Hashable, List, Optional, Tuple
 
 from repro.common.rng import DeterministicRng
 from repro.cpu.isa import Compute, Exit, Ifetch, Load, Store
-from repro.cpu.program import Program, ProgramGen
+from repro.cpu.program import ProgramGen, TraceProgram, trace_program
 from repro.os.kernel import Kernel
 from repro.workloads.profiles import BenchmarkProfile
 
@@ -35,10 +39,20 @@ KERNEL_LINES = 96
 class WorkloadBuilder:
     """Builds synthetic benchmark processes on a kernel."""
 
-    def __init__(self, kernel: Kernel, seed: int = 0xBEEF) -> None:
+    def __init__(
+        self,
+        kernel: Kernel,
+        seed: int = 0xBEEF,
+        programs: Optional[Dict[Hashable, TraceProgram]] = None,
+    ) -> None:
         self.kernel = kernel
         self.rng = DeterministicRng(seed)
         self.line_bytes = kernel.config.hierarchy.line_bytes
+        #: programs by stream identity, shared with other builders of the
+        #: same experiment when the caller passes a table
+        self._programs: Dict[Hashable, TraceProgram] = (
+            {} if programs is None else programs
+        )
         # One shared kernel text for the whole machine, one shared libc.
         self._kernel_seg = kernel.phys.allocate_segment(
             "kernel.text", KERNEL_LINES * self.line_bytes, content_key="kernel"
@@ -96,18 +110,40 @@ class WorkloadBuilder:
         return process, task
 
     # ------------------------------------------------------------------
+    def shared_program(
+        self, tag: str, instructions: int, make: Callable[[], TraceProgram]
+    ) -> TraceProgram:
+        """The program table's stream ``tag``, made by ``make`` if absent.
+
+        ``tag`` names the stream within this builder's seed (the rng fork
+        label); with ``instructions`` and the line size it keys the table.
+        """
+        key = (self.rng.seed, tag, instructions, self.line_bytes)
+        program = self._programs.get(key)
+        if program is None:
+            program = self._programs[key] = make()
+        return program
+
     def _make_program(
         self, profile: BenchmarkProfile, instructions: int, seed_tag: str
-    ) -> Program:
-        """The lazy op stream implementing the profile's behavior."""
-        rng = self.rng.fork(seed_tag)
-        line_bytes = self.line_bytes
-
-        def factory() -> ProgramGen:
-            yield from _profile_ops(profile, instructions, rng, line_bytes)
-            yield Exit()
-
-        return Program(profile.name, factory)
+    ) -> TraceProgram:
+        """The profile's op stream, drawn on the program's first start."""
+        return self.shared_program(
+            seed_tag,
+            instructions,
+            lambda: trace_program(
+                profile.name,
+                chain(
+                    _profile_ops(
+                        profile,
+                        instructions,
+                        self.rng.fork(seed_tag),
+                        self.line_bytes,
+                    ),
+                    (Exit(),),
+                ),
+            ),
+        )
 
 
 def _profile_ops(
@@ -120,6 +156,9 @@ def _profile_ops(
 
     Shared by the process programs and the reference-stream producers so
     both draw the identical deterministic stream for a given rng state.
+    Ops are interned: one ``Load``/``Store``/``Ifetch`` per address and
+    one ``Compute`` per burst length, so a recorded stream is a list of
+    pointers to a few thousand objects rather than one object per op.
     """
     hot_lines = max(1, int(profile.data_lines * profile.hot_set_fraction))
     ws_lines = profile.data_lines
@@ -136,6 +175,10 @@ def _profile_ops(
     write_ratio = profile.write_ratio
     random = rng.random
     randbelow = rng.randbelow
+    loads: Dict[int, Load] = {}
+    stores: Dict[int, Store] = {}
+    ifetches: Dict[int, Ifetch] = {}
+    computes = (None, Compute(1), Compute(2), Compute(3), Compute(4))
     retired = 0
     stream_pos = randbelow(ws_lines)
     stream_in_line = 0
@@ -155,7 +198,10 @@ def _profile_ops(
                 if random() < 0.1:  # branch: jump somewhere
                     code_pos = randbelow(code_lines)
                 addr = CODE_BASE + code_pos * line_bytes
-            yield Ifetch(addr)
+            op = ifetches.get(addr)
+            if op is None:
+                op = ifetches[addr] = Ifetch(addr)
+            yield op
             retired += 1
             continue
 
@@ -165,7 +211,11 @@ def _profile_ops(
             since_syscall = 0
             start = randbelow(KERNEL_LINES - 4)
             for k in range(4):
-                yield Ifetch(KERNEL_BASE + (start + k) * line_bytes)
+                addr = KERNEL_BASE + (start + k) * line_bytes
+                op = ifetches.get(addr)
+                if op is None:
+                    op = ifetches[addr] = Ifetch(addr)
+                yield op
             retired += 4
             continue
 
@@ -183,14 +233,19 @@ def _profile_ops(
                 index = randbelow(ws_lines)
             addr = DATA_BASE + index * line_bytes
             if random() < write_ratio:
-                yield Store(addr)
+                op = stores.get(addr)
+                if op is None:
+                    op = stores[addr] = Store(addr)
             else:
-                yield Load(addr)
+                op = loads.get(addr)
+                if op is None:
+                    op = loads[addr] = Load(addr)
+            yield op
             retired += 1
         else:
             # A run of ALU work between memory operations.
             burst = 1 + randbelow(4)
-            yield Compute(burst)
+            yield computes[burst]
             retired += burst
 
 

@@ -8,8 +8,9 @@ pairs — the benchmark binary itself.
 
 from __future__ import annotations
 
-from typing import Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
+from repro.cpu.program import TraceProgram
 from repro.os.kernel import Kernel
 from repro.os.process import Task
 from repro.workloads.generator import WorkloadBuilder
@@ -22,14 +23,17 @@ def build_spec_pair(
     bench_b: str,
     instructions: int,
     seed: int = 0xBEEF,
+    programs: Optional[Dict[Hashable, TraceProgram]] = None,
 ) -> Tuple[Task, Task]:
     """Create the two processes of one Table II row on core 0.
 
     Both tasks execute ``instructions`` instructions; the run completes
     when both exit, and normalized execution time is taken over the
-    makespan (fixed work, variable time).
+    makespan (fixed work, variable time).  ``programs`` is a
+    :func:`~repro.cpu.program.shared_programs` table: builds of one
+    experiment that share it replay the same two streams.
     """
-    builder = WorkloadBuilder(kernel, seed=seed)
+    builder = WorkloadBuilder(kernel, seed=seed, programs=programs)
     _, task_a = builder.build_process(
         spec_profile(bench_a), instance=0, instructions=instructions, affinity=0
     )

@@ -2,10 +2,17 @@
 
 import pytest
 
+from repro.analysis.comparison import compare_defenses
+from repro.analysis.defense_matrix import run_overhead_cell
 from repro.analysis.experiment import (
+    _run_configured,
     run_parsec_experiment,
     run_spec_pair_experiment,
 )
+from repro.common.errors import ProgramError
+from repro.cpu.program import TraceProgram
+from repro.workloads.parsec import build_parsec_workload
+from repro.workloads.spec import build_spec_pair
 from repro.analysis.tables import (
     render_figure_series,
     render_mpki_table,
@@ -104,3 +111,74 @@ class TestRenderers:
         assert summary["geomean_normalized_time"] >= 1.0
         assert summary["max_overhead"] >= 0.0
         assert 0 <= summary["mean_bookkeeping_fraction"] < 1
+
+
+class TestSharedStreams:
+    """Every configuration of an experiment replays one drawn stream per
+    process, and the streams are released when the experiment returns."""
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        """Every trace program started, once per start."""
+        starts = []
+        start = TraceProgram.start
+
+        def spy(program):
+            starts.append(program)
+            return start(program)
+
+        monkeypatch.setattr(TraceProgram, "start", spy)
+        return starts
+
+    @pytest.mark.parametrize(
+        "configs, run",
+        [
+            (2, lambda: run_spec_pair_experiment(tiny_config(), "namd", "lbm", 3_000)),
+            (
+                2,
+                lambda: run_parsec_experiment(
+                    tiny_config(num_cores=2), "swaptions", 3_000
+                ),
+            ),
+            (2, lambda: run_overhead_cell("timecache", "object", 2_000, 7)),
+            (3, lambda: compare_defenses(tiny_config(), "namd", "namd", 2_000)),
+        ],
+        ids=["spec_pair", "parsec", "overhead_cell", "compare_defenses"],
+    )
+    def test_one_stream_per_process_replayed_then_released(
+        self, started, configs, run
+    ):
+        run()
+        programs = {id(program): program for program in started}.values()
+        assert len(programs) == 2  # two processes, or two threads
+        assert len(started) == 2 * configs
+        for program in programs:
+            with pytest.raises(ProgramError, match="released"):
+                program.start()
+
+    @pytest.mark.parametrize(
+        "config, experiment, build",
+        [
+            (
+                tiny_config(quantum=3_000),
+                lambda c: run_spec_pair_experiment(c, "namd", "gromacs", 4_000),
+                lambda k: build_spec_pair(k, "namd", "gromacs", 4_000),
+            ),
+            (
+                tiny_config(num_cores=2),
+                lambda c: run_parsec_experiment(c, "x264", 3_000),
+                lambda k: build_parsec_workload(k, "x264", 3_000),
+            ),
+        ],
+        ids=["spec_pair", "parsec"],
+    )
+    def test_replayed_runs_match_runs_that_draw_their_own(
+        self, config, experiment, build
+    ):
+        shared = experiment(config)
+        for run, cfg in (
+            (shared.baseline, config.baseline()),
+            (shared.timecache, config),
+        ):
+            own = _run_configured(cfg, build)
+            assert (run.cycles, run.stats) == (own.cycles, own.stats)

@@ -1,7 +1,15 @@
 """Unit tests for program wrappers."""
 
+import pytest
+
+from repro.common.errors import ProgramError
 from repro.cpu.isa import Compute, Load
-from repro.cpu.program import Program, looping_program, trace_program
+from repro.cpu.program import (
+    Program,
+    looping_program,
+    shared_programs,
+    trace_program,
+)
 
 
 def test_program_restartable():
@@ -26,6 +34,57 @@ def test_trace_program_materializes_generator_input():
     program = trace_program("t", (Load(i) for i in range(3)))
     assert len(list(program.start())) == 3
     assert len(list(program.start())) == 3  # generator input not consumed
+
+
+def test_trace_program_draws_on_first_start_not_at_creation():
+    drawn = []
+
+    def ops():
+        for i in range(3):
+            drawn.append(i)
+            yield Load(i)
+
+    program = trace_program("t", ops())
+    assert drawn == []
+    assert [op.vaddr for op in program.start()] == [0, 1, 2]
+    assert [op.vaddr for op in program.start()] == [0, 1, 2]
+    assert drawn == [0, 1, 2]  # drawn once, replayed after
+
+
+def test_released_trace_program_frees_its_ops_and_refuses_restart():
+    program = trace_program("t", [Load(1), Load(2)])
+    gen = program.start()
+    assert next(gen).vaddr == 1
+    program.release()
+    assert list(gen) == []  # a live replay holds no ops either
+    with pytest.raises(ProgramError, match="released"):
+        program.start()
+
+
+def test_trace_program_whose_first_draw_fails_is_not_replayed_truncated():
+    def ops():
+        yield Load(1)
+        raise RuntimeError("generator bug")
+
+    program = trace_program("t", ops())
+    with pytest.raises(RuntimeError):
+        program.start()
+    with pytest.raises(ProgramError, match="first draw failed"):
+        program.start()
+
+
+def test_shared_programs_releases_every_program_on_exit():
+    with pytest.raises(RuntimeError):
+        with shared_programs() as programs:
+            programs["a"] = trace_program("a", [Load(1)])
+            programs["b"] = trace_program("b", [Load(2)])
+            assert [op.vaddr for op in programs["a"].start()] == [1]
+            held = list(programs.values())
+            raise RuntimeError("the experiment failed")
+    assert programs == {}
+    for program in held:
+        with pytest.raises(ProgramError):
+            program.start()
 
 
 def test_looping_program_bounded():

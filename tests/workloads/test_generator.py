@@ -6,6 +6,7 @@ import pytest
 
 from repro.common.rng import DeterministicRng
 from repro.cpu.isa import Compute, Exit, Ifetch, Load, Store
+from repro.cpu.program import TraceProgram
 from repro.cpu.tracing import format_op
 from repro.os.kernel import Kernel
 from repro.workloads.generator import (
@@ -16,7 +17,13 @@ from repro.workloads.generator import (
     WorkloadBuilder,
     _profile_ops,
 )
-from repro.workloads.profiles import PARSEC_PROFILES, SPEC_PROFILES, spec_profile
+from repro.workloads.parsec import _thread_program, build_parsec_workload
+from repro.workloads.profiles import (
+    PARSEC_PROFILES,
+    SPEC_PROFILES,
+    parsec_profile,
+    spec_profile,
+)
 
 from tests.conftest import tiny_config
 
@@ -185,3 +192,68 @@ def test_profile_op_streams_are_pinned():
         )
         digest = hashlib.sha256(text.encode()).hexdigest()
         assert digest == PINNED_STREAM_SHA256[name], name
+
+
+def stream_sha256(ops):
+    text = "\n".join(format_op(op) for op in ops)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: sha256 of each PARSEC row's two thread streams (``format_op`` lines
+#: joined by newlines, ``Exit`` included) for 30k instructions per thread
+#: from ``DeterministicRng(0xFACE)`` forked as ``t<id>``, the streams
+#: ``build_parsec_workload`` runs.  Recorded before the thread generator's
+#: hot loop was rewritten; a change here changes every PARSEC experiment.
+PINNED_THREAD_STREAM_SHA256 = {
+    ("fluidanimate", 0): "9645dd97b20636ae4e053b0ed3087ba7cb57ba7860fab5cbacab8fe0221f3c20",
+    ("fluidanimate", 1): "b74257dea3a719be6ec24e83f2a2faf60dc3b023aaa59978e0083c79147d191b",
+    ("raytrace", 0): "ac91cefbc6b8380b6468bcfa8554997f6432270dffbe1b07cf531f94ef0c1eca",
+    ("raytrace", 1): "67ebf57aa204277aa9fb05539dfd0f53032e9cbbc586baaa2d8312195b359ce4",
+    ("blackscholes", 0): "b7874500bdb0f65150214f5fc1af278adc245bc53d55cffd8e895cb66f5e3073",
+    ("blackscholes", 1): "04772fe4128b9f6b411d98f304928d9019113df35b4e413f9d2175a01f941eca",
+    ("x264", 0): "9b27eab5a4b9f1a19e55d1cbd9c44c4005879138128c475469d52e3553c279a9",
+    ("x264", 1): "92b271d9cbf728297dff9170bc26cd3ce011a9c87437590154fc6b6468720256",
+    ("swaptions", 0): "f8a47cb2189a6548741e7efc5bf6b82e2245e924daf7a40cd12182644d1f5116",
+    ("swaptions", 1): "12eb578f3660a5f4092201f4d4a0dc5139ba8eb4b5cebcf70db331133c33b1ef",
+    ("facesim", 0): "ce90c7bc9da95fc76c0db175d1ba02a0903a96f67165bc078d0dc53bcb64f797",
+    ("facesim", 1): "d6d7035e793bdb95070c63b5cb0abd92180c33fb2918204a0f7f38e920859e52",
+}
+
+
+def test_parsec_thread_streams_are_pinned():
+    assert sorted({bench for bench, _ in PINNED_THREAD_STREAM_SHA256}) == sorted(
+        PARSEC_PROFILES
+    )
+    for (bench, thread_id), digest in PINNED_THREAD_STREAM_SHA256.items():
+        rng = DeterministicRng(0xFACE).fork(f"t{thread_id}")
+        program = _thread_program(parsec_profile(bench), thread_id, 30_000, 64, rng)
+        assert stream_sha256(program.start()) == digest, (bench, thread_id)
+
+
+def spec_and_parsec_programs():
+    """A SPEC process's program and a PARSEC thread's, as experiments
+    build them."""
+    _, task = WorkloadBuilder(Kernel(tiny_config())).build_process(
+        spec_profile("namd"), 0, 3_000
+    )
+    t0, _ = build_parsec_workload(Kernel(tiny_config(num_cores=2)), "swaptions", 3_000)
+    return task.program, t0.program
+
+
+def test_restarted_programs_replay_the_identical_stream():
+    for program in spec_and_parsec_programs():
+        first = [format_op(op) for op in program.start()]
+        second = [format_op(op) for op in program.start()]
+        assert first == second, program.name
+        assert first[-1] == "X"
+
+
+def test_streams_intern_one_op_per_address():
+    for program in spec_and_parsec_programs():
+        assert isinstance(program, TraceProgram)
+        ops = list(program.start())
+        interned = {}
+        for op in ops:
+            assert interned.setdefault(format_op(op), op) is op
+        # a few hundred distinct ops behind ~1.5k op slots
+        assert len(interned) * 2 < len(ops), program.name
