@@ -301,25 +301,26 @@ def bench_hierarchy_access_batched(
     )
 
 
+#: accesses per timed slice of ``bench_hierarchy_access_traced``
+TRACED_SLICE_ACCESSES = 250
+
+
 def bench_hierarchy_access_traced(
-    quick: bool = False,
-    engine: str = "object",
-    accesses: Optional[int] = None,
-    repeats: Optional[int] = None,
+    quick: bool = False, engine: str = "object"
 ) -> BenchResult:
     """Tracing overhead on the raw-access hot path.
 
     Drives the ``hierarchy_access`` trace through three systems: no
     tracer at all, a *disabled* tracer (the production default — it
     attaches nothing, so the hot path must be untouched), and an
-    *enabled* tracer streaming JSONL to a temp file.  Repeats are
-    interleaved across the arms so clock drift and thermal noise hit
-    all three equally.  ``runs`` (the baseline-gated number) times the
-    disabled arm; ``extra`` records the three medians plus round-paired
-    overhead ratios — ``overhead_disabled`` is locked under 5% by
-    ``tests/obs/test_bench_traced.py``.  ``accesses`` (per round) and
-    ``repeats`` (rounds) override the quick/full sizes: the overhead
-    estimate resolves best from many short rounds.
+    *enabled* tracer streaming JSONL to a temp file.  Each round is cut
+    into slices of ``TRACED_SLICE_ACCESSES`` accesses, and the arms take
+    turns slice by slice (in rotating order), so clock drift and
+    host noise hit all three equally.  ``runs`` (the baseline-gated
+    number) is the disabled arm's time per round; ``extra`` records the
+    three medians plus slice-paired overhead ratios —
+    ``overhead_disabled`` is locked under 5% by
+    ``tests/obs/test_bench_traced.py``.
     """
     import dataclasses
     import tempfile
@@ -331,56 +332,73 @@ def bench_hierarchy_access_traced(
     from repro.obs.tracer import Tracer
     from repro.robustness.campaign import campaign_config
 
-    if accesses is None:
-        accesses = 20_000 if quick else 100_000
+    accesses = 20_000 if quick else 100_000
     config = campaign_config(seed=7)
     if engine != config.hierarchy.engine:
         config = dataclasses.replace(
             config,
             hierarchy=dataclasses.replace(config.hierarchy, engine=engine),
         )
+    line_bytes = config.hierarchy.line_bytes
+    rng = DeterministicRng(7)
+    pool = [0x10000 + i * line_bytes for i in range(256)]
+    addrs = [rng.choice(pool) for _ in range(accesses)]
+    slices = [
+        addrs[i : i + TRACED_SLICE_ACCESSES]
+        for i in range(0, accesses, TRACED_SLICE_ACCESSES)
+    ]
 
-    def build_drive(tracer: Optional[Tracer] = None) -> Callable[[], None]:
+    def build_drive(
+        tracer: Optional[Tracer] = None,
+    ) -> Callable[[List[int], int], int]:
         system = TimeCacheSystem(config)
         if tracer is not None:
             tracer.attach(system)
-        line_bytes = system.config.hierarchy.line_bytes
-        rng = DeterministicRng(7)
-        pool = [0x10000 + i * line_bytes for i in range(256)]
-        addrs = [rng.choice(pool) for _ in range(accesses)]
         access = system.hierarchy.access
         load = AccessKind.LOAD
 
-        def drive() -> None:
-            now = 0
-            for addr in addrs:
+        def drive(chunk: List[int], now: int) -> int:
+            for addr in chunk:
                 latency = access(0, addr, load, now).latency
                 now += latency if latency > 0 else 1
+            return now
 
         return drive
 
-    if repeats is None:
-        repeats = 3 if quick else 5
+    repeats = 3 if quick else 5
     with tempfile.TemporaryDirectory() as tmp:
         sink = JsonlSink(Path(tmp) / "bench_trace.jsonl")
         enabled_tracer = Tracer(sink)
-        arms = [
-            ("plain", build_drive(), []),
-            ("disabled", build_drive(Tracer(enabled=False)), []),
-            ("enabled", build_drive(enabled_tracer), []),
+        drives = [
+            build_drive(),
+            build_drive(Tracer(enabled=False)),
+            build_drive(enabled_tracer),
         ]
-        for _, drive, _runs in arms:  # warm-up: fills + first misses
-            drive()
-        for round_ in range(repeats):
-            # rotate the order so no arm always runs after the enabled one
-            shift = round_ % len(arms)
-            for _, drive, runs in arms[shift:] + arms[:shift]:
-                start = time.perf_counter()
-                drive()
-                runs.append(time.perf_counter() - start)
+        for drive in drives:  # warm-up: fills + first misses
+            now = 0
+            for chunk in slices:
+                now = drive(chunk, now)
+        # slice_times[arm] lists every timed slice, round after round
+        slice_times: List[List[float]] = [[] for _ in drives]
+        turn = 0
+        for _ in range(repeats):
+            nows = [0] * len(drives)
+            for chunk in slices:
+                # rotate the order so no arm always runs after the enabled one
+                turn += 1
+                for k in range(len(drives)):
+                    arm = (turn + k) % len(drives)
+                    start = time.perf_counter()
+                    nows[arm] = drives[arm](chunk, nows[arm])
+                    slice_times[arm].append(time.perf_counter() - start)
         events = float(sink.emitted)
         enabled_tracer.close()
-    plain_runs, disabled_runs, enabled_runs = (arm[2] for arm in arms)
+    per_round = len(slices)
+    plain_runs, disabled_runs, enabled_runs = (
+        [sum(times[i : i + per_round]) for i in range(0, len(times), per_round)]
+        for times in slice_times
+    )
+    plain_slices, disabled_slices, enabled_slices = slice_times
     return BenchResult(
         name="hierarchy_access_traced",
         runs=disabled_runs,
@@ -389,20 +407,20 @@ def bench_hierarchy_access_traced(
             "plain_median_s": statistics.median(plain_runs),
             "disabled_median_s": statistics.median(disabled_runs),
             "enabled_median_s": statistics.median(enabled_runs),
-            # Round i of every arm simulates the same accesses from the
-            # same cache state, but successive rounds do not (the state
-            # carries over and run times drift with it), so the overhead
-            # is the median of the per-round ratios, not a ratio of
-            # minima taken from different rounds.
-            "overhead_disabled": _paired_overhead(disabled_runs, plain_runs),
-            "overhead_enabled": _paired_overhead(enabled_runs, plain_runs),
+            # Slice j of every arm simulates the same accesses from the
+            # same cache state, close together in time; the overhead is
+            # the median of those paired ratios (a ratio of minima would
+            # compare slices of different work and different moments).
+            "overhead_disabled": _paired_overhead(disabled_slices, plain_slices),
+            "overhead_enabled": _paired_overhead(enabled_slices, plain_slices),
+            "slices": float(len(plain_slices)),
             "events": events,
         },
     )
 
 
 def _paired_overhead(runs: List[float], reference: List[float]) -> float:
-    """Median over rounds of ``runs[i] / reference[i]``, minus one."""
+    """Median over pairs of ``runs[i] / reference[i]``, minus one."""
     return statistics.median(r / ref for r, ref in zip(runs, reference)) - 1.0
 
 

@@ -52,7 +52,7 @@ class TraceProgram(Program):
     ``ops`` is drawn into a list on the first :meth:`start`, not at
     creation, so building a process costs nothing until it runs; every
     start replays that list (e.g. a baseline run and a TimeCache run
-    over the identical trace).  :meth:`release` drops the list.
+    over the identical trace).
     """
 
     def __init__(self, name: str, ops: Iterable[Op]) -> None:
@@ -68,22 +68,10 @@ class TraceProgram(Program):
             source, self._source = self._source, None
             if source is None:
                 raise ProgramError(
-                    f"program {self.name!r} has no stream: it was released "
-                    "or its first draw failed"
+                    f"program {self.name!r} has no stream: its first draw failed"
                 )
             ops = self._ops = list(source)
         return _replay(ops)
-
-    def release(self) -> None:
-        """Free the recorded ops; a later :meth:`start` raises.
-
-        The list is emptied in place, so a generator or a finished
-        kernel still holding it keeps no ops alive either.
-        """
-        if self._ops is not None:
-            self._ops.clear()
-        self._ops = None
-        self._source = None
 
 
 def _replay(ops: List[Op]) -> ProgramGen:
@@ -102,18 +90,17 @@ def shared_programs() -> Iterator[Dict[Hashable, TraceProgram]]:
 
     A workload builder given the table reuses the program it already
     holds for a process instead of making a new one, so every
-    configuration replays the stream the first one drew.  On exit every
-    program is released, and the cycle collector runs once: the kernels
-    that ran the programs are reference cycles holding their caches'
-    arrays, and left to the collector's own schedule they pile up across
-    experiments (peak RSS then climbs pass over pass).
+    configuration replays the stream the first one drew.  On exit the
+    table is cleared and the cycle collector runs once: the kernels that
+    ran the programs are reference cycles holding the recorded streams
+    and their caches' arrays, and left to the collector's own schedule
+    they pile up across experiments (peak RSS then climbs pass over
+    pass).
     """
     programs: Dict[Hashable, TraceProgram] = {}
     try:
         yield programs
     finally:
-        for program in programs.values():
-            program.release()
         programs.clear()
         gc.collect()
 

@@ -1,5 +1,7 @@
 """Unit tests for program wrappers."""
 
+import weakref
+
 import pytest
 
 from repro.common.errors import ProgramError
@@ -51,16 +53,6 @@ def test_trace_program_draws_on_first_start_not_at_creation():
     assert drawn == [0, 1, 2]  # drawn once, replayed after
 
 
-def test_released_trace_program_frees_its_ops_and_refuses_restart():
-    program = trace_program("t", [Load(1), Load(2)])
-    gen = program.start()
-    assert next(gen).vaddr == 1
-    program.release()
-    assert list(gen) == []  # a live replay holds no ops either
-    with pytest.raises(ProgramError, match="released"):
-        program.start()
-
-
 def test_trace_program_whose_first_draw_fails_is_not_replayed_truncated():
     def ops():
         yield Load(1)
@@ -73,18 +65,21 @@ def test_trace_program_whose_first_draw_fails_is_not_replayed_truncated():
         program.start()
 
 
-def test_shared_programs_releases_every_program_on_exit():
+def test_shared_programs_frees_every_program_on_exit():
     with pytest.raises(RuntimeError):
         with shared_programs() as programs:
             programs["a"] = trace_program("a", [Load(1)])
             programs["b"] = trace_program("b", [Load(2)])
             assert [op.vaddr for op in programs["a"].start()] == [1]
-            held = list(programs.values())
+            held = [weakref.ref(program) for program in programs.values()]
+            # a reference cycle, as a finished kernel forms around its
+            # programs, must not keep them alive past the exit either
+            cycle = {"programs": list(programs.values())}
+            cycle["self"] = cycle
+            del cycle
             raise RuntimeError("the experiment failed")
     assert programs == {}
-    for program in held:
-        with pytest.raises(ProgramError):
-            program.start()
+    assert [ref() for ref in held] == [None, None]
 
 
 def test_looping_program_bounded():

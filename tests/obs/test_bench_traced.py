@@ -13,15 +13,6 @@ from repro.robustness.campaign import campaign_config
 #: the acceptance bound: a constructed-but-disabled tracer must not
 #: slow the raw-access hot path by 5% or more
 DISABLED_OVERHEAD_BOUND = 0.05
-#: accesses per timed round, and rounds per arm.  The plain and disabled
-#: arms run identical code, so the estimate is noise around zero.  On a
-#: shared 2-vCPU host single rounds vary by 10-20%: three 20k-access
-#: rounds (min over min) read -13.7% to 33.7%, and even 15 of them
-#: (median of round-paired ratios) reached 4.9%.  The median of 200
-#: paired 500-access rounds read -1.5% to +0.2% over six runs, in the
-#: same ~5 s.
-ROUND_ACCESSES = 500
-TIMED_REPEATS = 200
 
 
 def test_traced_bench_is_registered():
@@ -58,12 +49,11 @@ def test_disabled_tracer_leaves_the_hot_path_identical():
 
 
 def test_disabled_tracing_overhead_under_five_percent():
-    result = bench_hierarchy_access_traced(
-        quick=True, accesses=ROUND_ACCESSES, repeats=TIMED_REPEATS
-    )
+    result = bench_hierarchy_access_traced(quick=True)
     assert result.skipped is None
-    assert len(result.runs) == TIMED_REPEATS
-    # median of the per-round disabled/plain ratios
+    assert len(result.runs) == 3
+    # median of the slice-paired disabled/plain ratios; the plain and
+    # disabled arms run identical code, so this is noise around zero
     assert result.extra["overhead_disabled"] < DISABLED_OVERHEAD_BOUND, (
         "a disabled tracer must leave the hot path untouched; measured "
         f"{result.extra['overhead_disabled']:.1%}"
